@@ -9,8 +9,9 @@
 //   * "engine, threads=1" — one AnalysisEngine per task set, WP verdict
 //                           injected as greedy round 0, formulations and
 //                           B&B sessions carried across rounds;
-//   * "engine, threads=N" — same, with per-task bounds fanned out on the
-//                           engine's thread pool.
+//   * "engine, threads=4" — same, with the WP pass's per-task bounds fanned
+//                           out on the engine's thread pool (greedy rounds
+//                           stop at the first miss and stay sequential).
 //
 // All modes solve to proven optimality (relative_gap = 0) so the verdicts
 // are mode-independent by construction — the bench hard-fails on any
@@ -203,13 +204,17 @@ bool same_rows(const std::vector<exp::SweepRow>& a,
 namespace mcs::bench {
 
 int tool_analysis_main() {
-  // Fig. 2-style sweep point in the regime where WP frequently fails and
-  // the greedy LS-marking loop actually runs — the workload the engine's
-  // cross-round state reuse targets.
+  // Fig. 2-style sweep point where WP often fails and the greedy LS-marking
+  // loop carries weight: some WP-failing sets are rescued by LS marks, so
+  // greedy rounds bound every task (about a third of the wall time) — the
+  // rounds the engine's WP round-0 injection and cross-round reuse target.
+  // At heavier points (e.g. U=0.7, gamma=0.4) the first miss is a
+  // high-priority task, greedy rounds stop almost at once, and the NPS and
+  // WP passes, identical in every mode, are >99% of the time.
   constexpr std::size_t kSets = 12;
   constexpr std::size_t kTasks = 5;
-  constexpr double kUtilization = 0.70;
-  constexpr double kGamma = 0.40;
+  constexpr double kUtilization = 0.35;
+  constexpr double kGamma = 0.10;
   constexpr int kReps = 2;
 
   std::vector<rt::TaskSet> sets;
@@ -225,9 +230,9 @@ int tool_analysis_main() {
   analysis::AnalysisOptions options;
   options.milp.relative_gap = 0.0;  // proven optima: mode-independent
 
-  const std::size_t n_threads = analysis::AnalysisEngine(
-                                    analysis::EngineConfig{/*threads=*/0})
-                                    .workers();
+  // A fixed worker count, not hardware concurrency: the recorded threads-N
+  // figure must mean the same thing on every machine.
+  constexpr std::size_t n_threads = 4;
 
   std::vector<ModeResult> modes;
   modes.push_back(
@@ -246,9 +251,11 @@ int tool_analysis_main() {
   }
 
   std::size_t wp_failing = 0;
+  std::size_t greedy_rescued = 0;  // WP fails, greedy LS marking succeeds
   std::size_t rounds_total = 0;
   for (const Verdict& v : modes[0].verdicts) {
     if (!v.wp) ++wp_failing;
+    if (!v.wp && v.proposed) ++greedy_rescued;
     rounds_total += v.greedy_rounds;
   }
 
@@ -257,7 +264,8 @@ int tool_analysis_main() {
 
   std::cout << "Analysis pipeline bench: " << kSets << " task sets (n="
             << kTasks << ", U=" << kUtilization << ", gamma=" << kGamma
-            << "), " << wp_failing << " WP-failing, " << rounds_total
+            << "), " << wp_failing << " WP-failing, " << greedy_rescued
+            << " rescued by greedy, " << rounds_total
             << " greedy rounds total\n\n"
             << std::left << std::setw(26) << "mode" << std::setw(12)
             << "wall ms" << "speedup\n";
@@ -296,6 +304,7 @@ int tool_analysis_main() {
        << "  \"sweep_point\": {\"sets\": " << kSets << ", \"num_tasks\": "
        << kTasks << ", \"utilization\": " << kUtilization
        << ", \"gamma\": " << kGamma << ", \"wp_failing\": " << wp_failing
+       << ", \"greedy_rescued\": " << greedy_rescued
        << ", \"greedy_rounds_total\": " << rounds_total << "},\n"
        << "  \"modes\": [\n";
   for (std::size_t m = 0; m < modes.size(); ++m) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -40,9 +41,9 @@ struct DelayBound {
 
 /// Everything about a task that the delay MILP depends on *except* the LS
 /// flag (flags are expressed through patches, not rebuilds).  Arrival
-/// curves are compared by identity: the analysis only ever shares them via
-/// the TaskSet copy constructor, and a false mismatch merely costs a
-/// rebuild.
+/// curves are compared by value (ArrivalCurve::value_key), never by
+/// address: a freed curve's address can be recycled for a different curve,
+/// and a long-lived engine must not reuse formulations built for it.
 struct TaskSig {
   Time exec = 0;
   Time copy_in = 0;
@@ -50,7 +51,7 @@ struct TaskSig {
   Time period = 0;
   Time deadline = 0;
   rt::Priority priority = 0;
-  const void* arrival = nullptr;
+  std::vector<std::int64_t> arrival;  ///< value_key(); empty when unset
 
   bool operator==(const TaskSig&) const = default;
 };
@@ -115,8 +116,10 @@ std::vector<TaskSig> fingerprint_of(const rt::TaskSet& tasks) {
   std::vector<TaskSig> sig(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const rt::Task& t = tasks[i];
-    sig[i] = TaskSig{t.exec,     t.copy_in,  t.copy_out,    t.period,
-                     t.deadline, t.priority, t.arrival.get()};
+    sig[i] = TaskSig{t.exec,     t.copy_in,  t.copy_out, t.period,
+                     t.deadline, t.priority,
+                     t.arrival ? t.arrival->value_key()
+                               : std::vector<std::int64_t>{}};
   }
   return sig;
 }
@@ -653,35 +656,23 @@ ProposedResult AnalysisEngine::Impl::proposed(const rt::TaskSet& tasks,
   }
   const std::vector<rt::TaskIndex> order = working.by_priority();
 
-  // Walks one round's bounds in priority order, accumulating fallback /
-  // node statistics for exactly the prefix a sequential greedy pass would
-  // have analyzed (up to and including the first failure) — engine rounds
-  // compute every task's bound, but the reported accounting matches the
-  // sequential algorithm and is thread-count independent.  Returns true
-  // when every task passed; otherwise sets `failing` and blanks the
-  // entries after it so the exposed per_task has the sequential shape.
-  const auto digest_round = [&](std::vector<TaskBoundResult>& bounds,
-                                rt::TaskIndex& failing) {
-    bool all_ok = true;
+  // One greedy round (paper §VI): bounds tasks in priority order with
+  // `bound_of` and stops at the first miss — the bounds after it would be
+  // discarded, and the lower-priority tasks have the widest windows, so
+  // they are the most expensive to bound.  Entries after the miss stay
+  // TaskBoundResult{}.  Returns the failing task, if any.
+  const auto run_round =
+      [&](const auto& bound_of) -> std::optional<rt::TaskIndex> {
+    ++result.rounds;
+    result.per_task.assign(n, TaskBoundResult{});
     for (const rt::TaskIndex i : order) {
-      const TaskBoundResult& b = bounds[i];
+      const TaskBoundResult& b = result.per_task[i] = bound_of(i);
       result.any_relaxation_fallback |= b.used_relaxation_bound;
       result.degraded |= b.degraded;
       result.total_milp_nodes += b.milp_nodes;
-      if (!b.schedulable) {
-        all_ok = false;
-        failing = i;
-        break;
-      }
+      if (!b.schedulable) return i;
     }
-    if (!all_ok) {
-      bool past = false;
-      for (const rt::TaskIndex i : order) {
-        if (past) bounds[i] = TaskBoundResult{};
-        if (i == failing) past = true;
-      }
-    }
-    return all_ok;
+    return std::nullopt;
   };
 
   std::size_t round = 0;
@@ -692,34 +683,46 @@ ProposedResult AnalysisEngine::Impl::proposed(const rt::TaskSet& tasks,
     // with the WP one (no LS task -> no LE/CL columns, zero cancellation
     // budget), so the caller's WP verdicts stand in for it verbatim.
     telemetry::count("analysis.engine.round0_injections");
-    ++result.rounds;
-    result.per_task = wp_round0->per_task;
-    rt::TaskIndex failing = 0;
-    if (digest_round(result.per_task, failing)) {
+    const std::optional<rt::TaskIndex> failing = run_round(
+        [&](rt::TaskIndex i) { return wp_round0->per_task[i]; });
+    if (!failing) {
       result.schedulable = true;  // ls_flags stay all-false
       return result;
     }
-    working[failing].latency_sensitive = true;
+    working[*failing].latency_sensitive = true;
     round = 1;
   }
 
+  // Task i is bounded on the engine that owns it — this one when serial,
+  // worker i % w when pooled, the mapping bound_all uses — so its build ->
+  // patch -> solve chain is the same for every thread count.  Rounds are
+  // sequential: the pool only serves the all-task passes.
+  const std::size_t w = effective_workers();
+  const bool pooled = w > 1 && n > 1;
+  if (pooled) ensure_pool();
+  const auto bound_owned = [&](rt::TaskIndex i) {
+    Impl& owner = pooled ? *worker_engines[i % w]->impl_ : *this;
+    const TaskBoundResult b = owner.bound(
+        working, i, options, warm_seed(working, i, options.ignore_ls));
+    store_seed(working, i, options.ignore_ls, b);
+    return b;
+  };
+
   // At most one promotion per round and at most n rounds.
   for (; round <= n; ++round) {
-    ++result.rounds;
-    result.per_task = bound_all(working, options);
-    rt::TaskIndex failing = 0;
-    if (digest_round(result.per_task, failing)) {
+    const std::optional<rt::TaskIndex> failing = run_round(bound_owned);
+    if (!failing) {
       result.schedulable = true;
       for (rt::TaskIndex i = 0; i < working.size(); ++i) {
         result.ls_flags[i] = working[i].latency_sensitive;
       }
       return result;
     }
-    if (working[failing].latency_sensitive) {
+    if (working[*failing].latency_sensitive) {
       // Already LS and still missing: unschedulable (paper §VI).
       return result;
     }
-    working[failing].latency_sensitive = true;
+    working[*failing].latency_sensitive = true;
   }
   return result;  // defensive: cannot be reached (n+1 rounds, n promotions)
 }

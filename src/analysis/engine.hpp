@@ -2,8 +2,8 @@
 //
 // The paper's pipeline is intrinsically repetitive — the RTA fixpoint (§V /
 // §VI) re-solves near-identical delay MILPs round after round, the greedy
-// LS-marking loop re-analyzes the whole task set after every promotion, and
-// the evaluation sweeps (§VII) analyze each task set three ways.  The free
+// LS-marking loop re-analyzes the task set after every promotion, and the
+// evaluation sweeps (§VII) analyze each task set three ways.  The free
 // functions in response_time.hpp / greedy.hpp / schedulability.hpp throw
 // all solver state away between calls; an AnalysisEngine instead carries it
 // across calls for as long as the task-set *parameters* (everything except
@@ -17,16 +17,21 @@
 //  * carried incumbents, so each branch & bound starts pruning from the
 //    previous round's solution;
 //  * memoized NPS bounds;
-//  * optional fan-out of per-task bounds onto a support::ThreadPool with
-//    one private engine per worker and a stable task-to-worker mapping, so
-//    results are index-merged and thread-count independent.
+//  * optional fan-out of the all-task passes (analyze_wp, analyze_marked)
+//    onto a support::ThreadPool with one private engine per worker and a
+//    stable task-to-worker mapping, so results are index-merged.  Greedy
+//    rounds stop at the first deadline miss (paper §VI) and do not fan
+//    out; they bound each task on the same owning engine.
 //
-// Determinism: for a fixed task set and options, every engine method
-// returns the same result regardless of how much state the engine carried
-// in or how many threads it uses.  Each cached formulation's solve chain
-// (build -> patch -> solve sequences) depends only on the calls made for
-// that task, and the MilpSolver session guarantees each solve is
-// bit-identical to a fresh solve of the same patched model.
+// Determinism: for a fixed sequence of calls, every engine method returns
+// the same result for every thread count.  Each cached formulation's solve
+// chain (build -> patch -> solve sequences) depends only on the calls made
+// for that task, and the MilpSolver session guarantees each solve is
+// bit-identical to a fresh solve of the same patched model.  Results are
+// also independent of the state the engine carried in, but only at
+// relative_gap = 0, where every MILP is solved to proven optimality.  At a
+// nonzero gap a carried incumbent can change where branch & bound stops,
+// so a bound can differ from a fresh engine's by up to the gap.
 //
 // The legacy free functions remain as thin wrappers that construct a
 // throwaway engine, so existing call sites and tests are unaffected.
@@ -46,8 +51,8 @@
 namespace mcs::analysis {
 
 struct EngineConfig {
-  /// Worker threads for per-task fan-out in analyze_wp and each greedy
-  /// round: 1 = serial (no pool), 0 = hardware concurrency, N = N workers.
+  /// Worker threads for per-task fan-out in analyze_wp / analyze_marked:
+  /// 1 = serial (no pool), 0 = hardware concurrency, N = N workers.
   /// Results are identical for every value; only wall time changes.
   std::size_t threads = 1;
 };
@@ -80,7 +85,9 @@ class AnalysisEngine {
   WpResult analyze_marked(const rt::TaskSet& tasks,
                           const AnalysisOptions& options = {});
 
-  /// Greedy LS marking (paper §VI).  When `wp_round0` is given it must be
+  /// Greedy LS marking (paper §VI).  Each round bounds tasks in priority
+  /// order and stops at the first miss; per_task entries after it stay
+  /// TaskBoundResult{}.  When `wp_round0` is given it must be
   /// the WP analysis of this same `tasks` under compatible options; the
   /// greedy loop then adopts it as its round 0 instead of recomputing —
   /// sound because round 0 analyzes the all-NLS marking, whose formulation

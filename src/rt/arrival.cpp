@@ -25,6 +25,10 @@ std::uint64_t SporadicArrival::releases_in_closed(Time delta) const {
   return static_cast<std::uint64_t>(delta / period_) + 1;
 }
 
+std::vector<std::int64_t> SporadicArrival::value_key() const {
+  return {1, period_};
+}
+
 PeriodicJitterArrival::PeriodicJitterArrival(Time period, Time jitter)
     : period_(period), jitter_(jitter) {
   MCS_REQUIRE(period_ > 0, "periodic arrival needs positive period");
@@ -47,6 +51,10 @@ std::uint64_t PeriodicJitterArrival::releases_in_closed(Time delta) const {
 Time PeriodicJitterArrival::min_separation() const {
   // Two jittered releases can be as close as max(1, T - J).
   return std::max<Time>(1, period_ - jitter_);
+}
+
+std::vector<std::int64_t> PeriodicJitterArrival::value_key() const {
+  return {2, period_, jitter_};
 }
 
 StaircaseArrival::StaircaseArrival(
@@ -85,6 +93,16 @@ Time StaircaseArrival::min_separation() const {
     }
   }
   return 1;
+}
+
+std::vector<std::int64_t> StaircaseArrival::value_key() const {
+  std::vector<std::int64_t> key{3};
+  key.reserve(1 + 2 * steps_.size());
+  for (const auto& [len, count] : steps_) {
+    key.push_back(len);
+    key.push_back(static_cast<std::int64_t>(count));
+  }
+  return key;
 }
 
 ArrivalCurvePtr make_sporadic(Time min_inter_arrival) {

@@ -36,6 +36,11 @@ class ArrivalCurve {
   /// Smallest separation between consecutive releases this curve allows;
   /// used for simulator release-pattern generation. 1 if unknown.
   virtual Time min_separation() const = 0;
+
+  /// Value identity: a kind tag followed by the curve's parameters.  Two
+  /// curves with equal keys have equal eta for every delta, so caches can
+  /// compare curves by value instead of by address.
+  virtual std::vector<std::int64_t> value_key() const = 0;
 };
 
 using ArrivalCurvePtr = std::shared_ptr<const ArrivalCurve>;
@@ -47,6 +52,7 @@ class SporadicArrival final : public ArrivalCurve {
   std::uint64_t releases_in(Time delta) const override;
   std::uint64_t releases_in_closed(Time delta) const override;
   Time min_separation() const override { return period_; }
+  std::vector<std::int64_t> value_key() const override;
   Time period() const noexcept { return period_; }
 
  private:
@@ -60,6 +66,7 @@ class PeriodicJitterArrival final : public ArrivalCurve {
   std::uint64_t releases_in(Time delta) const override;
   std::uint64_t releases_in_closed(Time delta) const override;
   Time min_separation() const override;
+  std::vector<std::int64_t> value_key() const override;
   Time period() const noexcept { return period_; }
   Time jitter() const noexcept { return jitter_; }
 
@@ -78,6 +85,7 @@ class StaircaseArrival final : public ArrivalCurve {
   explicit StaircaseArrival(std::vector<std::pair<Time, std::uint64_t>> steps);
   std::uint64_t releases_in(Time delta) const override;
   Time min_separation() const override;
+  std::vector<std::int64_t> value_key() const override;
 
  private:
   std::vector<std::pair<Time, std::uint64_t>> steps_;

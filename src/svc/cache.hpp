@@ -4,7 +4,7 @@
 // Keys are canonical task-set fingerprints (svc/fingerprint.hpp); values
 // are complete verdicts — schedulability, per-task WCRT bounds, and the
 // greedy LS marking — so a cache hit answers a request without touching
-// the analysis engines at all.  Degraded (budget-truncated) verdicts are
+// the analysis engine at all.  Degraded (budget-truncated) verdicts are
 // never inserted: they depend on wall-clock luck, and serving one from
 // cache would hand a stale pessimistic answer to a caller who paid for a
 // full solve.

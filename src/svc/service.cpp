@@ -133,10 +133,14 @@ rt::Task parse_task(const Json& obj) {
   return t;
 }
 
-/// Runs one full analysis of `tasks` under `mode` on `engine` and shapes
-/// the outcome into the canonical-order Verdict the cache stores.
-Verdict run_analysis(analysis::AnalysisEngine& engine, const rt::TaskSet& tasks,
-                     AnalysisMode mode, const analysis::SolveBudget& budget) {
+/// Runs one full analysis of `tasks` under `mode` on a fresh engine and
+/// shapes the outcome into the canonical-order Verdict the cache stores.
+/// A fresh engine per analysis keeps every verdict independent of what the
+/// service analyzed before: at the default nonzero MILP gap, incumbents
+/// carried over from earlier solves could move a WCRT within the gap.
+Verdict run_analysis(const rt::TaskSet& tasks, AnalysisMode mode,
+                     const analysis::SolveBudget& budget) {
+  analysis::AnalysisEngine engine;
   analysis::AnalysisOptions options;
   options.budget = &budget;
   Verdict v;
@@ -198,9 +202,8 @@ bool verdicts_equal(const Verdict& a, const Verdict& b) {
 /// unlimited budget and the comparison is exact.
 void audit_cache_hit(const rt::TaskSet& tasks, AnalysisMode mode,
                      const Verdict& cached, std::uint64_t fp) {
-  analysis::AnalysisEngine fresh;
   const analysis::SolveBudget unlimited;
-  const Verdict recomputed = run_analysis(fresh, tasks, mode, unlimited);
+  const Verdict recomputed = run_analysis(tasks, mode, unlimited);
   telemetry::count("svc.check.cache_audits");
   if (!verdicts_equal(recomputed, cached)) {
     support::contract_fail(
@@ -239,9 +242,6 @@ struct CoreState {
   std::mutex mutex;  ///< serializes requests targeting this core
   /// Currently-admitted tasks, insertion order (canonicalized on analysis).
   std::vector<rt::Task> tasks;
-  /// Persistent session: repeated analyses of the same membership reuse
-  /// cached MILP formulations and solver state across requests.
-  analysis::AnalysisEngine engine;
 };
 
 struct AdmissionService::Impl {
@@ -335,11 +335,10 @@ struct AdmissionService::Impl {
     return s;
   }
 
-  /// Looks up / computes the verdict for `tasks` under `mode`.  Assumes the
-  /// targeted core's mutex is held (the engine is not reentrant).
-  Verdict verdict_for(CoreState& cs, const rt::TaskSet& tasks,
-                      AnalysisMode mode, const analysis::SolveBudget& budget,
-                      std::uint64_t fp, bool& cached) {
+  /// Looks up / computes the verdict for `tasks` under `mode`.
+  Verdict verdict_for(const rt::TaskSet& tasks, AnalysisMode mode,
+                      const analysis::SolveBudget& budget, std::uint64_t fp,
+                      bool& cached) {
     cached = false;
     // Empty sets deliberately take the normal path: the engine answers them
     // trivially, and keeping one path means every response — including this
@@ -357,7 +356,7 @@ struct AdmissionService::Impl {
     }
     cache_misses.fetch_add(1, std::memory_order_relaxed);
     telemetry::count("svc.cache.misses");
-    Verdict v = run_analysis(cs.engine, tasks, mode, budget);
+    Verdict v = run_analysis(tasks, mode, budget);
     if (v.degraded) {
       // Budget-truncated: wall-clock dependent and pessimistic — serving
       // it later would shortchange a caller who asked for a full solve.
@@ -533,7 +532,7 @@ std::string AdmissionService::Impl::process(const std::string& line) {
 
     const std::uint64_t fp = fingerprint(tasks, mode);
     bool cached = false;
-    const Verdict verdict = verdict_for(cs, tasks, mode, budget, fp, cached);
+    const Verdict verdict = verdict_for(tasks, mode, budget, fp, cached);
     if (cached && check::enabled(check::kLevelLint)) {
       audit_cache_hit(tasks, mode, verdict, fp);
     }

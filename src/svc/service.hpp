@@ -3,13 +3,11 @@
 //
 // Serves analyze / admit / remove / mark_ls / status / shutdown requests
 // over a newline-delimited JSON protocol.  State is partitioned per named
-// core: each core carries the currently-admitted rt::TaskSet and a
-// persistent analysis::AnalysisEngine, so repeated queries against the same
-// membership reuse cached MILP formulations and solver sessions instead of
-// rebuilding them (the engine fingerprint excludes LS flags; see
-// analysis/engine.hpp).  On top of that sits a global bounded LRU verdict
-// cache keyed by canonical task-set fingerprint, giving O(1) answers for
-// any membership state the service has fully analyzed before.
+// core: each core carries the currently-admitted rt::TaskSet.  Every cache
+// miss is analyzed on a fresh analysis::AnalysisEngine, so a verdict never
+// depends on what the service analyzed before.  A global bounded LRU
+// verdict cache keyed by canonical task-set fingerprint gives O(1) answers
+// for any membership state the service has fully analyzed before.
 //
 // Deadline budgets: each request may carry `budget_ms`; once the budget
 // expires mid-analysis, remaining delay-MILP solves degrade to the safe LP

@@ -1,19 +1,24 @@
 // Differential and determinism tests for the AnalysisEngine session layer:
 // carried solver state (formulation patches, reusable B&B sessions, carried
 // incumbents, warm-started fixpoints) must never change a result — only how
-// fast it is computed.  All tests run with relative_gap = 0 so every MILP
-// is solved to proven optimality: exact optima are independent of the
-// search path, making the expected equalities bit-exact rather than
-// tolerance-based.
+// fast it is computed.  The carried-state tests run with relative_gap = 0
+// so every MILP is solved to proven optimality: exact optima are
+// independent of the search path, making the expected equalities bit-exact
+// rather than tolerance-based.  Thread-count independence is also checked
+// at the Fig. 2 gap.
 #include "analysis/engine.hpp"
 
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "gen/generator.hpp"
+#include "rt/arrival.hpp"
 #include "rt/task.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry.hpp"
 
 namespace {
 
@@ -26,6 +31,14 @@ using mcs::analysis::TaskBoundResult;
 using mcs::analysis::WpResult;
 using mcs::rt::Task;
 using mcs::rt::TaskSet;
+
+namespace telemetry = mcs::support::telemetry;
+
+std::uint64_t counter(const std::string& name) {
+  const telemetry::Snapshot snap = telemetry::snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
 
 AnalysisOptions exact_options() {
   AnalysisOptions options;
@@ -122,24 +135,99 @@ TEST(AnalysisEngine, CarriedStateMatchesThrowawayAcrossCorpus) {
 
 // threads = 1 and threads = N must agree exactly — including the solver
 // effort statistics, because task i's build/patch/solve chain lands on the
-// same per-worker cache for every thread count.
+// same per-worker cache for every thread count.  At the Fig. 2 gap (0.02) a
+// bound also depends on that chain (carried incumbents steer where branch &
+// bound stops), so that pass checks the stable mapping itself.
 TEST(AnalysisEngine, ThreadCountDoesNotChangeResults) {
-  const AnalysisOptions options = exact_options();
-  AnalysisEngine serial(EngineConfig{/*threads=*/1});
-  AnalysisEngine pooled(EngineConfig{/*threads=*/3});
-  for (const TaskSet& tasks : corpus()) {
-    const WpResult wp_serial = serial.analyze_wp(tasks, options);
-    const WpResult wp_pooled = pooled.analyze_wp(tasks, options);
-    expect_same_wp(wp_pooled, wp_serial, "wp threads");
-    EXPECT_EQ(wp_pooled.total_milp_nodes, wp_serial.total_milp_nodes);
-    EXPECT_EQ(wp_pooled.any_relaxation_fallback,
-              wp_serial.any_relaxation_fallback);
+  for (const double gap : {0.0, 0.02}) {
+    AnalysisOptions options;
+    options.milp.relative_gap = gap;
+    AnalysisEngine serial(EngineConfig{/*threads=*/1});
+    AnalysisEngine pooled(EngineConfig{/*threads=*/3});
+    for (const TaskSet& tasks : corpus()) {
+      const WpResult wp_serial = serial.analyze_wp(tasks, options);
+      const WpResult wp_pooled = pooled.analyze_wp(tasks, options);
+      expect_same_wp(wp_pooled, wp_serial, "wp threads");
+      EXPECT_EQ(wp_pooled.total_milp_nodes, wp_serial.total_milp_nodes);
+      EXPECT_EQ(wp_pooled.any_relaxation_fallback,
+                wp_serial.any_relaxation_fallback);
 
-    const ProposedResult p_serial = serial.analyze_proposed(tasks, options);
-    const ProposedResult p_pooled = pooled.analyze_proposed(tasks, options);
-    expect_same_proposed(p_pooled, p_serial, "proposed threads");
-    EXPECT_EQ(p_pooled.total_milp_nodes, p_serial.total_milp_nodes);
+      // analyze_marked fans out on the worker engines, and the greedy
+      // rounds below patch the formulations it left behind there.
+      const WpResult m_serial = serial.analyze_marked(tasks, options);
+      const WpResult m_pooled = pooled.analyze_marked(tasks, options);
+      expect_same_wp(m_pooled, m_serial, "marked threads");
+      EXPECT_EQ(m_pooled.total_milp_nodes, m_serial.total_milp_nodes);
+
+      const ProposedResult runs[][2] = {
+          {serial.analyze_proposed(tasks, options),
+           pooled.analyze_proposed(tasks, options)},
+          {serial.analyze_proposed(tasks, options, &wp_serial),
+           pooled.analyze_proposed(tasks, options, &wp_pooled)},
+      };
+      for (const auto& [p_serial, p_pooled] : runs) {
+        expect_same_proposed(p_pooled, p_serial, "proposed threads");
+        EXPECT_EQ(p_pooled.total_milp_nodes, p_serial.total_milp_nodes);
+        EXPECT_EQ(p_pooled.any_relaxation_fallback,
+                  p_serial.any_relaxation_fallback);
+      }
+    }
   }
+}
+
+// A greedy round stops at the first deadline miss (paper §VI): when the
+// highest-priority task misses as NLS and again once promoted to LS, each
+// of the two rounds bounds exactly that one task and none below it.
+TEST(AnalysisEngine, GreedyRoundStopsAtFirstMiss) {
+  // "hp" cannot fit its own demand l + C + u = 140 into D = 120.
+  const TaskSet tasks({make_task("hp", 100, 20, 400, 120, 0),
+                       make_task("mid", 35, 12, 600, 560, 1),
+                       make_task("lp", 50, 15, 900, 850, 2)});
+  const AnalysisOptions options = exact_options();
+  telemetry::set_enabled(true);
+  for (const std::size_t threads : {1u, 3u}) {
+    AnalysisEngine engine(EngineConfig{threads});
+    const std::uint64_t before = counter("analysis.tasks_analyzed");
+    const ProposedResult r = engine.analyze_proposed(tasks, options);
+    const std::uint64_t analyzed = counter("analysis.tasks_analyzed") - before;
+    EXPECT_FALSE(r.schedulable);
+    ASSERT_EQ(r.rounds, 2u);
+    EXPECT_EQ(analyzed, r.rounds) << "threads=" << threads;
+    EXPECT_TRUE(r.per_task[0].exceeded_deadline);
+    for (mcs::rt::TaskIndex i = 1; i < tasks.size(); ++i) {
+      EXPECT_EQ(r.per_task[i].wcrt, mcs::rt::kTimeMax);  // never bounded
+      EXPECT_FALSE(r.per_task[i].schedulable);
+    }
+  }
+}
+
+// The engine fingerprint compares arrival curves by value: a separately
+// allocated curve with the same parameters keeps the cached formulations,
+// while a different jitter on the same period drops them.
+TEST(AnalysisEngine, ArrivalCurvesAreFingerprintedByValue) {
+  const AnalysisOptions options = exact_options();
+  const auto with_jitter = [](mcs::rt::Time jitter) {
+    Task hp = make_task("hp", 20, 5, 200, 150, 0);
+    hp.arrival = std::make_shared<mcs::rt::PeriodicJitterArrival>(200, jitter);
+    return TaskSet({hp, make_task("lp", 30, 8, 300, 280, 1)});
+  };
+  const TaskSet first = with_jitter(10);
+  const TaskSet same = with_jitter(10);  // both curves alive: new address
+  ASSERT_NE(first[0].arrival.get(), same[0].arrival.get());
+  const TaskSet other = with_jitter(40);
+
+  telemetry::set_enabled(true);
+  AnalysisEngine engine;
+  (void)engine.bound_response_time(first, 1, options);
+
+  const std::uint64_t builds = counter("analysis.milp_builds");
+  const std::uint64_t hits = counter("analysis.milp_cache_hits");
+  (void)engine.bound_response_time(same, 1, options);
+  EXPECT_EQ(counter("analysis.milp_builds"), builds);
+  EXPECT_GT(counter("analysis.milp_cache_hits"), hits);
+
+  (void)engine.bound_response_time(other, 1, options);
+  EXPECT_GT(counter("analysis.milp_builds"), builds);
 }
 
 // Injecting the WP verdict as greedy round 0 (what the experiment harness

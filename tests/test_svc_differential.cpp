@@ -7,7 +7,7 @@
 // requires the two to match exactly: schedulability, greedy rounds, the LS
 // marking, and every per-task WCRT bound.  The cache capacity is kept tiny
 // (4 entries) so eviction boundaries are crossed constantly, and requests
-// alternate between two cores so per-core engine sessions interleave.
+// alternate between two cores so their memberships interleave.
 //
 // Op count scales with MCS_FUZZ_OPS (default 300 per seed; the admitted
 // sets grow with the op count, so cost is super-linear) for soak runs.
@@ -20,6 +20,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/budget.hpp"
@@ -142,11 +143,21 @@ std::string task_json(const rt::Task& t) {
 
 const char* mode_name(svc::AnalysisMode mode) { return svc::to_string(mode); }
 
+/// One request line and the service's response to it.
+using Exchange = std::pair<std::string, std::string>;
+
 /// One fuzz run: `ops` random operations on `service`, differential-checked
 /// against fresh engines throughout.  Shadow state mirrors the service's
 /// per-core memberships; any divergence between shadow and service verdicts
-/// is a bug in the cache, the engine-session reuse, or the commit logic.
-void fuzz_run(svc::AdmissionService& service, std::uint64_t seed, int ops) {
+/// is a bug in the cache, the analysis path, or the commit logic.  Every
+/// request and response is appended to `transcript` when it is given.
+void fuzz_run(svc::AdmissionService& service, std::uint64_t seed, int ops,
+              std::vector<Exchange>* transcript = nullptr) {
+  const auto send = [&](const std::string& line) {
+    std::string response = service.handle_line(line);
+    if (transcript != nullptr) transcript->emplace_back(line, response);
+    return response;
+  };
   support::Rng rng(seed);
   const std::vector<std::string> cores = {"c0", "c1"};
   std::map<std::string, std::vector<rt::Task>> shadow;
@@ -196,7 +207,7 @@ void fuzz_run(svc::AdmissionService& service, std::uint64_t seed, int ops) {
       const RefVerdict ref =
           reference_verdict(candidate_set, svc::AnalysisMode::kGreedy);
 
-      const std::string response_line = service.handle_line(
+      const std::string response_line = send(
           "{\"op\":\"admit\",\"core\":\"" + core +
           "\",\"task\":" + task_json(t) + "}");
       const Json response = svc::parse_json(response_line);
@@ -211,7 +222,7 @@ void fuzz_run(svc::AdmissionService& service, std::uint64_t seed, int ops) {
       const std::size_t victim = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(tasks.size()) - 1));
       const std::string name = tasks[victim].name;
-      const std::string response_line = service.handle_line(
+      const std::string response_line = send(
           "{\"op\":\"remove\",\"core\":\"" + core + "\",\"name\":\"" + name +
           "\"}");
       const Json response = svc::parse_json(response_line);
@@ -231,7 +242,7 @@ void fuzz_run(svc::AdmissionService& service, std::uint64_t seed, int ops) {
       const RefVerdict ref =
           reference_verdict(candidate_set, svc::AnalysisMode::kMarked);
 
-      const std::string response_line = service.handle_line(
+      const std::string response_line = send(
           "{\"op\":\"mark_ls\",\"core\":\"" + core + "\",\"name\":\"" +
           tasks[pick].name + "\",\"ls\":" + (want_ls ? "true" : "false") +
           "}");
@@ -251,7 +262,7 @@ void fuzz_run(svc::AdmissionService& service, std::uint64_t seed, int ops) {
           kModes[static_cast<std::size_t>(rng.uniform_int(0, 2))];
       const rt::TaskSet set(tasks);
       const RefVerdict ref = reference_verdict(set, mode);
-      const std::string response_line = service.handle_line(
+      const std::string response_line = send(
           "{\"op\":\"analyze\",\"core\":\"" + core + "\",\"mode\":\"" +
           mode_name(mode) + "\"}");
       const Json response = svc::parse_json(response_line);
@@ -296,23 +307,38 @@ TEST(SvcDifferential, RandomizedSequencesMatchFreshEngine) {
 }
 
 TEST(SvcDifferential, SecondSeedWithCachingDisabled) {
-  // capacity 0: every verdict is a fresh engine-session analysis, so this
-  // seed differential-tests the per-core session reuse in isolation.
+  // capacity 0: every verdict is computed, none served from the cache, so
+  // this seed differential-tests the service's analysis path in isolation.
   svc::ServiceConfig config;
   config.cache_capacity = 0;
-  svc::AdmissionService service(std::move(config));
-  fuzz_run(service, /*seed=*/2u, ops_per_seed());
+  svc::AdmissionService service(config);
+  std::vector<Exchange> transcript;
+  fuzz_run(service, /*seed=*/2u, ops_per_seed(), &transcript);
   const svc::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_entries, 0u);
+
+  // Replayed back to back, with no reference analysis in between, the same
+  // requests must get the same responses: a verdict is a function of the
+  // request sequence alone.  Between two requests fuzz_run builds its
+  // reference task set, which takes the memory the previous request's
+  // arrival curves freed; the replay lets the allocator hand those
+  // addresses to the next request's curves, which is where state carried
+  // across requests and keyed by address moves a verdict (for seed 2, the
+  // relaxation flag of request #217).
+  svc::AdmissionService replay(config);
+  for (std::size_t k = 0; k < transcript.size(); ++k) {
+    EXPECT_EQ(replay.handle_line(transcript[k].first), transcript[k].second)
+        << "request #" << k << ": " << transcript[k].first;
+  }
 }
 
 TEST(SvcDifferential, ReanalysisAfterRemoveMatchesFreshEngine) {
   // Deterministic regression shape for the cache-invalidation hazard:
   // analyze a membership, remove a task, re-analyze, re-admit the same
   // task, re-analyze.  The final verdict must come from (or equal) the
-  // original analysis even though the engine session was re-pointed at a
-  // different membership in between.
+  // original analysis even though the core analyzed a different membership
+  // in between.
   svc::ServiceConfig config;
   config.cache_capacity = 8;
   svc::AdmissionService service(std::move(config));

@@ -146,8 +146,9 @@ int cmd_analyze(const rt::Workload& workload, int argc, char** argv) {
 
   // One engine across every requested approach: formulations built for the
   // WP pass are patched (not rebuilt) for the proposed greedy rounds, and
-  // --threads fans the per-task bounds out on a pool (deterministically —
-  // any thread count gives the same output).
+  // --threads fans the WP pass's per-task bounds out on a pool
+  // (deterministically — any thread count gives the same output).  Greedy
+  // rounds stop at their first miss and run serially.
   analysis::EngineConfig engine_config;
   engine_config.threads = static_cast<std::size_t>(
       std::stoull(option(argc, argv, "threads").value_or("1")));

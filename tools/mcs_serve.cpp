@@ -6,7 +6,7 @@
 //
 // Speaks the newline-delimited JSON admission protocol on stdin/stdout
 // and, with --socket, on a Unix-domain stream socket; both transports feed
-// one shared AdmissionService (per-core engines, verdict cache, overload
+// one shared AdmissionService (per-core task sets, verdict cache, overload
 // shedding).  Runs until stdin reaches EOF (unless --no-stdio) or a
 // `shutdown` request arrives.  --budget-ms sets the default per-request
 // degradation budget for requests that carry none (0 = unlimited).
