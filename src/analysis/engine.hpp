@@ -92,7 +92,10 @@ class AnalysisEngine {
   /// greedy loop then adopts it as its round 0 instead of recomputing —
   /// sound because round 0 analyzes the all-NLS marking, whose formulation
   /// coincides with the WP one — and the sweep harness stops duplicating
-  /// that policy inline.
+  /// that policy inline.  Round 0 reads `wp_round0->per_task` only along
+  /// priority order up to its first miss, so the entries after that miss
+  /// may be TaskBoundResult{}: a caller that needs only the WP verdict can
+  /// hand over the prefix of a pass that stopped early.
   ProposedResult analyze_proposed(const rt::TaskSet& tasks,
                                   const AnalysisOptions& options = {},
                                   const WpResult* wp_round0 = nullptr);

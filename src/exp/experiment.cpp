@@ -108,19 +108,41 @@ SweepSpec experiment_sweep_spec(const ExperimentConfig& config) {
     const gen::GeneratorConfig gen_cfg = configure_point(config, unit.x);
     const rt::TaskSet tasks = gen::generate_task_set(gen_cfg, rng);
 
-    // One analysis engine per task set: the three approaches share its
-    // formulation caches and solver sessions (serial inside — the sweep
-    // already parallelizes across units).
+    // One analysis engine per task set (serial inside — the sweep already
+    // parallelizes across units).  The three approaches keep separate
+    // cache entries: NPS its memo, WP the ignore_ls slot, proposed the LS
+    // slots, which its greedy rounds patch from round to round.
     analysis::AnalysisEngine engine;
 
     const auto nps =
         engine.analyze(tasks, Approach::kNonPreemptive, config.analysis);
-    const auto wp = engine.analyze_wp(tasks, config.analysis);
+
+    // Verdict-only WP pass.  The unit records WP's verdict and its fallback
+    // flag, and greedy round 0 reads the WP bounds only in priority order up
+    // to the first miss.  So bound in priority order and stop once both
+    // recorded facts are decided: a miss has been seen and some bound used
+    // a relaxation.  Skipped entries stay TaskBoundResult{}, and only the
+    // two recorded facts are folded in.  WP bounds live in their own cache
+    // slot (ignore_ls), so every bound computed here, and every later
+    // proposed bound, is bit-identical to what a full analyze_wp pass
+    // would give.
+    analysis::AnalysisOptions wp_options = config.analysis;
+    wp_options.ignore_ls = true;
+    analysis::WpResult wp;
+    wp.schedulable = true;
+    wp.per_task.assign(tasks.size(), analysis::TaskBoundResult{});
+    for (const rt::TaskIndex i : tasks.by_priority()) {
+      const analysis::TaskBoundResult& b = wp.per_task[i] =
+          engine.bound_response_time(tasks, i, wp_options);
+      wp.any_relaxation_fallback |= b.used_relaxation_bound;
+      wp.schedulable = wp.schedulable && b.schedulable;
+      if (!wp.schedulable && wp.any_relaxation_fallback) break;
+    }
 
     // Greedy round 0 equals the WP analysis.  When WP succeeded its
     // verdict *is* the proposed one (round 0 all-NLS, schedulable) —
     // including any reliance on a relaxation fallback.  Otherwise hand the
-    // WP bounds to the greedy loop as its round 0 so it starts promoting
+    // WP prefix to the greedy loop as its round 0 so it starts promoting
     // directly.
     bool proposed_ok = wp.schedulable;
     bool proposed_fb = false;

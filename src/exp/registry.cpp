@@ -1,5 +1,6 @@
 #include "exp/registry.hpp"
 
+#include "analysis/engine.hpp"
 #include "analysis/greedy.hpp"
 #include "analysis/opa.hpp"
 #include "analysis/response_time.hpp"
@@ -48,6 +49,20 @@ bool all_ls_schedulable(rt::TaskSet tasks,
   return true;
 }
 
+/// WP verdict (the analysis of [3]) under the task set's priorities: the
+/// ablations record only the verdict, so bound tasks in priority order on
+/// one engine and stop at the first miss, which decides it.
+bool wp_schedulable(const rt::TaskSet& tasks,
+                    const analysis::AnalysisOptions& options) {
+  analysis::AnalysisOptions wp = options;
+  wp.ignore_ls = true;
+  analysis::AnalysisEngine engine;
+  for (const rt::TaskIndex i : tasks.by_priority()) {
+    if (!engine.bound_response_time(tasks, i, wp).schedulable) return false;
+  }
+  return true;
+}
+
 // LS-marking ablation (paper §VI): the greedy algorithm marks tasks
 // latency-sensitive one deadline-miss at a time.  Compares, as deadline
 // tightness beta varies: none (the analysis of [3]) / greedy (the paper's
@@ -73,12 +88,7 @@ SweepSpec make_ablation_ls() {
     cfg.beta = unit.x;
     const rt::TaskSet tasks = gen::generate_task_set(cfg, rng);
 
-    analysis::AnalysisOptions wp = options;
-    wp.ignore_ls = true;
-    bool none_ok = true;
-    for (rt::TaskIndex i = 0; i < tasks.size() && none_ok; ++i) {
-      none_ok = analysis::bound_response_time(tasks, i, wp).schedulable;
-    }
+    const bool none_ok = wp_schedulable(tasks, options);
     const bool greedy_ok =
         none_ok || analysis::analyze_proposed(tasks, options).schedulable;
     const bool all_ok = all_ls_schedulable(tasks, options);
@@ -122,10 +132,7 @@ SweepSpec make_ablation_priority() {
         n_dm ||
         audsley_assign(tasks, analysis::Approach::kNonPreemptive, options)
             .schedulable;
-    const bool w_dm =
-        analysis::analyze(tasks, analysis::Approach::kWasilyPellizzoni,
-                          options)
-            .schedulable;
+    const bool w_dm = wp_schedulable(tasks, options);
     const bool w_opa =
         w_dm ||
         audsley_assign(tasks, analysis::Approach::kWasilyPellizzoni, options)

@@ -747,8 +747,10 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
   // with one clean cold solve at the fixed integral assignment.  Warm-path
   // extractions carry tableau round-off that depends on the exploration
   // path; the reported value must not (callers ceil() these bounds, which
-  // amplifies even ulp-level noise into a full tick).  A cold solve on the
-  // all-integer analysis models is numerically exact in practice.
+  // amplifies even ulp-level noise into a full tick).  The cold solve is
+  // not exact: its continuous values can still miss a row by a few 1e-6
+  // where the row's terms are near 1e6, which repair_incumbent mends after
+  // postsolve.
   if (result.has_incumbent && heur_ != nullptr) {
     IntBounds fixed(int_vars_.size());
     for (std::size_t k = 0; k < int_vars_.size(); ++k) {
@@ -839,6 +841,66 @@ bool same_structure(const Model& a, const presolve::PostsolveMap& am,
   return a.objective_sense() == b.objective_sense() &&
          a.objective().terms() == b.objective().terms() &&
          a.objective().constant() == b.objective().constant();
+}
+
+/// Incumbent clean-up in the model's own space.  Every incumbent leaves a
+/// simplex solve whose round-off is bounded in the solver's (scaled)
+/// space, not in the model's: a continuous column squeezed between terms
+/// of magnitude 1e6 can land a few 1e-6 past the row it should sit on,
+/// and the point then fails the check `try_seed_incumbent` applies to
+/// start values.  With every integral column at an exact integer, a row
+/// whose only continuous column is x_j bounds x_j by arithmetic on the
+/// fixed terms alone; continuous values that stray past those bounds are
+/// pulled back onto them.  The repaired point replaces `values` only if it
+/// passes the check; otherwise `values` is left as it was.
+void repair_incumbent(const Model& model, double eps,
+                      std::vector<double>& values) {
+  if (model.is_feasible(values, eps)) return;
+  const std::vector<Variable>& vars = model.variables();
+  std::vector<double> point = values;
+  std::vector<double> lo(vars.size());
+  std::vector<double> hi(vars.size());
+  for (std::size_t j = 0; j < vars.size(); ++j) {
+    if (vars[j].type != VarType::kContinuous) {
+      point[j] = std::round(point[j]);
+    }
+    lo[j] = vars[j].lower;
+    hi[j] = vars[j].upper;
+  }
+  for (const Constraint& c : model.constraints()) {
+    std::size_t col = npos;
+    double coef = 0.0;
+    double fixed = 0.0;
+    bool single = true;
+    for (const auto& [j, a] : c.lhs.terms()) {
+      if (vars[j].type != VarType::kContinuous) {
+        fixed += a * point[j];
+      } else if (col == npos) {
+        col = j;
+        coef = a;
+      } else {
+        single = false;
+        break;
+      }
+    }
+    if (!single || col == npos) continue;
+    const double bound = (c.rhs - fixed) / coef;
+    const bool caps_above = (c.relation == Relation::kLe) == (coef > 0.0);
+    if (c.relation == Relation::kEq || caps_above) {
+      hi[col] = std::min(hi[col], bound);
+    }
+    if (c.relation == Relation::kEq || !caps_above) {
+      lo[col] = std::max(lo[col], bound);
+    }
+  }
+  for (std::size_t j = 0; j < vars.size(); ++j) {
+    if (vars[j].type == VarType::kContinuous && lo[j] <= hi[j]) {
+      point[j] = std::clamp(point[j], lo[j], hi[j]);
+    }
+  }
+  if (model.is_feasible(point, eps)) {
+    values = std::move(point);
+  }
 }
 
 }  // namespace
@@ -986,6 +1048,10 @@ MilpResult MilpSolver::solve(const MilpOptions& options) {
       im.direct = std::make_unique<BranchAndBound>(im.base);
     }
     result = im.direct->run(options);
+  }
+  if (result.has_incumbent) {
+    repair_incumbent(im.base, options.lp.feasibility_tol * 10.0,
+                     result.values);
   }
   const std::size_t deltas = im.total(&BranchAndBound::bound_deltas_applied,
                                       im.retired.deltas);

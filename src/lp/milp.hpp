@@ -64,7 +64,12 @@ struct MilpResult {
   /// Valid dual bound on the true optimum (always set unless infeasible /
   /// unbounded): >= optimum for maximization, <= for minimization.
   double best_bound = 0.0;
-  /// Incumbent assignment, one value per model variable.
+  /// Incumbent assignment, one value per model variable.  When simplex
+  /// round-off leaves it outside the model at 10x the LP feasibility
+  /// tolerance, continuous values are clamped onto the bounds that rows
+  /// with one continuous column imply, if that makes it feasible;
+  /// `objective` is not re-evaluated, so the two may differ by that
+  /// round-off.
   std::vector<double> values;
   std::size_t nodes = 0;
   /// Open nodes discarded without an LP solve because their inherited bound

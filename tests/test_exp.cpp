@@ -7,8 +7,14 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "analysis/engine.hpp"
+#include "gen/generator.hpp"
 #include "support/contracts.hpp"
+#include "support/rng.hpp"
+#include "support/telemetry.hpp"
 
 namespace {
 
@@ -16,11 +22,17 @@ using mcs::analysis::Approach;
 using mcs::exp::apply_env_overrides;
 using mcs::exp::ExperimentConfig;
 using mcs::exp::ExperimentResult;
+using mcs::exp::experiment_sweep_spec;
 using mcs::exp::figure2_config;
 using mcs::exp::print_result;
 using mcs::exp::run_experiment;
 using mcs::exp::SweepParam;
+using mcs::exp::SweepSpec;
+using mcs::exp::SweepUnit;
 using mcs::exp::write_csv;
+using mcs::support::derive_seed;
+using mcs::support::Rng;
+namespace telemetry = mcs::support::telemetry;
 
 ExperimentConfig tiny_config() {
   ExperimentConfig cfg;
@@ -207,6 +219,153 @@ TEST(Experiment, SweepParamNames) {
   EXPECT_STREQ(to_string(SweepParam::kGamma), "gamma");
   EXPECT_STREQ(to_string(SweepParam::kBeta), "beta");
   EXPECT_STREQ(to_string(SweepParam::kNumTasks), "n");
+}
+
+// Task set of one Figure-2 unit, drawn the way the sweep draws it.
+mcs::rt::TaskSet unit_task_set(const ExperimentConfig& cfg, double x,
+                               Rng& rng) {
+  mcs::gen::GeneratorConfig g = cfg.base;
+  switch (cfg.sweep) {
+    case SweepParam::kUtilization:
+      g.utilization = x;
+      break;
+    case SweepParam::kGamma:
+      g.gamma = x;
+      break;
+    case SweepParam::kBeta:
+      g.beta = x;
+      break;
+    case SweepParam::kNumTasks:
+      g.num_tasks = static_cast<std::size_t>(x);
+      break;
+  }
+  return mcs::gen::generate_task_set(g, rng);
+}
+
+std::uint64_t counter(const std::string& name) {
+  const telemetry::Snapshot snap = telemetry::snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// One Figure-2 unit evaluated with a full WP pass (every task bounded by
+// analyze_wp), then greedy seeded with it: the reference for the sweep's
+// verdict-only WP pass.
+struct ReferenceUnit {
+  std::vector<std::uint64_t> metrics;
+  mcs::analysis::WpResult wp;
+  std::vector<mcs::rt::TaskIndex> order;  ///< priority order
+  std::uint64_t proposed_tasks_analyzed = 0;
+};
+
+ReferenceUnit reference_unit(const ExperimentConfig& cfg, double x,
+                             Rng& rng) {
+  const mcs::rt::TaskSet tasks = unit_task_set(cfg, x, rng);
+  mcs::analysis::AnalysisEngine engine;
+  const auto nps =
+      engine.analyze(tasks, Approach::kNonPreemptive, cfg.analysis);
+  ReferenceUnit ref;
+  ref.order = tasks.by_priority();
+  ref.wp = engine.analyze_wp(tasks, cfg.analysis);
+  const std::uint64_t before = counter("analysis.tasks_analyzed");
+  const auto prop = engine.analyze_proposed(tasks, cfg.analysis, &ref.wp);
+  ref.proposed_tasks_analyzed = counter("analysis.tasks_analyzed") - before;
+  const bool wp_fb = ref.wp.any_relaxation_fallback;
+  const bool prop_ok = ref.wp.schedulable || prop.schedulable;
+  const bool prop_fb =
+      ref.wp.schedulable ? wp_fb : prop.any_relaxation_fallback;
+  ref.metrics = {prop_ok ? 1u : 0u,
+                 ref.wp.schedulable ? 1u : 0u,
+                 nps.schedulable ? 1u : 0u,
+                 (wp_fb || prop_fb) ? 1u : 0u,
+                 wp_fb ? 1u : 0u,
+                 prop_fb ? 1u : 0u};
+  return ref;
+}
+
+SweepUnit sweep_unit(const SweepSpec& spec, std::size_t p, std::size_t s) {
+  SweepUnit unit;
+  unit.index = p * spec.slots_per_point + s;
+  unit.point = p;
+  unit.slot = s;
+  unit.x = spec.values[p];
+  return unit;
+}
+
+// The sweep's WP pass stops once the WP verdict and the WP fallback flag
+// are both decided.  Its six metrics must equal those of a full WP pass on
+// every unit, including units whose first miss comes before any
+// relaxation, where the pass has to keep going to settle the flag.
+TEST(Figure2Sweeps, VerdictOnlyWpPassMatchesFullWpPass) {
+  telemetry::set_enabled(true);
+  std::size_t miss_before_relaxation = 0;
+  std::size_t relaxation_only_after_miss = 0;
+  for (const char inset : {'a', 'b', 'c', 'd', 'e', 'f'}) {
+    ExperimentConfig cfg = figure2_config(inset);
+    cfg.tasksets_per_point = 3;
+    const SweepSpec spec = experiment_sweep_spec(cfg);
+    ASSERT_EQ(spec.metrics.size(), 6u);
+    for (std::size_t p = 0; p < spec.values.size(); ++p) {
+      for (std::size_t s = 0; s < spec.slots_per_point; ++s) {
+        const SweepUnit unit = sweep_unit(spec, p, s);
+        Rng rng(derive_seed(spec.seed, p, s));
+        const std::vector<std::uint64_t> got = spec.evaluate(unit, rng);
+        Rng ref_rng(derive_seed(spec.seed, p, s));
+        const ReferenceUnit ref = reference_unit(cfg, unit.x, ref_rng);
+        EXPECT_EQ(got, ref.metrics)
+            << cfg.name << " point " << p << " slot " << s;
+
+        // Walk the full pass in priority order: was the first miss seen
+        // before any relaxation, and did one appear only after it?
+        bool relaxed = false;
+        for (const mcs::rt::TaskIndex i : ref.order) {
+          const auto& b = ref.wp.per_task[i];
+          relaxed |= b.used_relaxation_bound;
+          if (b.schedulable) continue;
+          if (!relaxed) {
+            ++miss_before_relaxation;
+            if (ref.wp.any_relaxation_fallback) ++relaxation_only_after_miss;
+          }
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(miss_before_relaxation, 0u);
+  EXPECT_GT(relaxation_only_after_miss, 0u);
+}
+
+// Fig. 2(e), first point, first slot: the highest-priority task misses WP
+// on a bound that stopped at the 2% MILP gap.  Both recorded WP facts are
+// then decided after one task, so the sweep's WP pass bounds that task
+// only: evaluate analyzes one task more than the greedy loop, not n more.
+TEST(Figure2Sweeps, WpPassStopsAfterDecidingTopPriorityMiss) {
+  telemetry::set_enabled(true);
+  ExperimentConfig cfg = figure2_config('e');
+  cfg.tasksets_per_point = 1;
+  const SweepSpec spec = experiment_sweep_spec(cfg);
+  const SweepUnit unit = sweep_unit(spec, 0, 0);
+
+  Rng set_rng(derive_seed(spec.seed, 0, 0));
+  const mcs::rt::TaskSet tasks = unit_task_set(cfg, unit.x, set_rng);
+  ASSERT_GT(tasks.size(), 1u);
+  mcs::analysis::AnalysisOptions wp_options = cfg.analysis;
+  wp_options.ignore_ls = true;
+  mcs::analysis::AnalysisEngine probe;
+  const std::uint64_t gaps = counter("analysis.fallbacks.gap_terminated");
+  const auto top =
+      probe.bound_response_time(tasks, tasks.by_priority().front(), wp_options);
+  ASSERT_FALSE(top.schedulable);
+  ASSERT_TRUE(top.used_relaxation_bound);
+  ASSERT_GT(counter("analysis.fallbacks.gap_terminated"), gaps);
+
+  Rng ref_rng(derive_seed(spec.seed, 0, 0));
+  const ReferenceUnit ref = reference_unit(cfg, unit.x, ref_rng);
+  Rng rng(derive_seed(spec.seed, 0, 0));
+  const std::uint64_t before = counter("analysis.tasks_analyzed");
+  EXPECT_EQ(spec.evaluate(unit, rng), ref.metrics);
+  EXPECT_EQ(counter("analysis.tasks_analyzed") - before,
+            1 + ref.proposed_tasks_analyzed);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "analysis/milp_formulation.hpp"
 #include "check/presolve_audit.hpp"
+#include "exp/figures.hpp"
 #include "gen/generator.hpp"
 #include "lp/milp.hpp"
 #include "lp/model.hpp"
@@ -583,6 +584,48 @@ TEST(PresolveCorpus, CommittedWorkloadFormulationsReduceAndStayExact) {
     }
     EXPECT_GT(total_removed, 0u) << file;
   }
+}
+
+// A Fig. 2(b) delay MILP (U = 0.2, task set slot 1; the WP formulation of
+// tau5 over a window of 92204) whose polished incumbent carried simplex
+// round-off: Delta_3 = 1097229.000004 and Delta_6 = 291327.0000037,
+// each a few 1e-6 past the exact bound its delta_cpu row sets once the
+// integral columns are fixed.  The incumbent MilpSolver returns must be
+// feasible in the pristine model at the tolerance it applies to start
+// values, and pass the postsolve audit (MCS-F303/F304) that Debug builds
+// run on every incumbent.
+TEST(PresolveCorpus, Figure2IncumbentIsFeasibleInPristineModel) {
+  const mcs::exp::ExperimentConfig cfg = mcs::exp::figure2_config('b');
+  mcs::gen::GeneratorConfig g = cfg.base;
+  g.utilization = cfg.values[1];
+  Rng rng(mcs::support::derive_seed(cfg.seed, 1, 1));
+  const TaskSet tasks = mcs::gen::generate_task_set(g, rng);
+  TaskIndex i = tasks.size();
+  for (TaskIndex k = 0; k < tasks.size(); ++k) {
+    if (tasks[k].name == "tau5") i = k;
+  }
+  ASSERT_LT(i, tasks.size());
+  const DelayMilp milp = build_delay_milp(tasks, i, 92204,
+                                          FormulationCase::kNls,
+                                          /*ignore_ls=*/true);
+  MilpOptions opt = cfg.analysis.milp;
+  opt.branch_priority.assign(milp.model.num_variables(), 0);
+  for (const VarId alpha : milp.alpha_vars) {
+    opt.branch_priority[alpha.index] = 1;
+  }
+  const MilpResult res = solve_milp(milp.model, opt);
+  ASSERT_TRUE(res.has_incumbent);
+  EXPECT_TRUE(
+      milp.model.is_feasible(res.values, 10.0 * opt.lp.feasibility_tol));
+  const mcs::check::CheckReport report =
+      mcs::check::audit_postsolve(milp.model, res.values, res.objective);
+  EXPECT_TRUE(report.clean()) << [&] {
+    std::string all;
+    for (const auto& d : report.diagnostics) {
+      all += mcs::check::render(d) + "\n";
+    }
+    return all;
+  }();
 }
 
 }  // namespace

@@ -144,11 +144,14 @@ int cmd_analyze(const rt::Workload& workload, int argc, char** argv) {
     return 2;
   }
 
-  // One engine across every requested approach: formulations built for the
-  // WP pass are patched (not rebuilt) for the proposed greedy rounds, and
-  // --threads fans the WP pass's per-task bounds out on a pool
-  // (deterministically — any thread count gives the same output).  Greedy
-  // rounds stop at their first miss and run serially.
+  // One engine across every requested approach, but the approaches share
+  // no cached formulation: proposed (run first) uses the LS formulation
+  // slots, WP its own all-NLS (ignore_ls) slot, and NPS its own memo.  The
+  // reuse is inside proposed: each greedy round patches the formulations
+  // of the round before (new LS marking as bound/rhs edits) instead of
+  // rebuilding them.  --threads fans the WP pass's per-task bounds out on
+  // a pool (deterministically — any thread count gives the same output).
+  // Greedy rounds stop at their first miss and run serially.
   analysis::EngineConfig engine_config;
   engine_config.threads = static_cast<std::size_t>(
       std::stoull(option(argc, argv, "threads").value_or("1")));
