@@ -1,10 +1,7 @@
 // Shared entry points of the mcs_bench multi-tool binary.
 //
 // Every figure/ablation sweep and every custom bench tool is reachable as
-// `mcs_bench <name> [options]`; the historical per-bench binaries
-// (bench_fig2a, bench_tightness, ...) are thin wrappers that forward into
-// the same driver via run_as_tool(), so they gained the sweep-runner
-// options (--shard=K/N, --resume, --log=...) for free.
+// `mcs_bench <name> [options]`.
 #pragma once
 
 #include <filesystem>
@@ -30,11 +27,5 @@ int tool_fig1_main();
 int tool_tightness_main();
 int tool_analysis_main();
 int tool_ablation_solver_main();
-
-/// The mcs_bench driver: `mcs_bench <sweep|tool|list|merge> [options]`.
-int mcs_bench_main(int argc, char** argv);
-
-/// Wrapper-binary entry: behaves like `mcs_bench <tool> <argv[1..]>`.
-int run_as_tool(const char* tool, int argc, char** argv);
 
 }  // namespace mcs::bench

@@ -1,9 +1,9 @@
-// Driver of the mcs_bench multi-tool binary.
+// The mcs_bench multi-tool binary: every figure sweep, ablation and bench
+// tool behind one entry point.
 //
 //   mcs_bench list
 //   mcs_bench <sweep> [--shard=K/N] [--resume] [--log=PATH]
 //                     [--out-dir=DIR] [--threads=T] [--max-attempts=M]
-//                     [--barrier]
 //   mcs_bench merge <sweep> <shard.jsonl>... [--out-dir=DIR]
 //   mcs_bench fig1 | tightness | analysis | ablation_solver
 //
@@ -49,7 +49,6 @@ int usage(std::ostream& out, int code) {
          "  --out-dir=DIR    output directory (default .)\n"
          "  --threads=T      worker threads (default MCS_THREADS or hardware)\n"
          "  --max-attempts=M retry budget per unit (default 2)\n"
-         "  --barrier        legacy per-point barrier execution (same output)\n"
          "\n"
          "environment: MCS_TASKSETS, MCS_SEED, MCS_THREADS, MCS_TELEMETRY\n";
   return code;
@@ -72,7 +71,6 @@ struct SweepCli {
   std::size_t threads = 0;
   std::uint32_t max_attempts = 2;
   bool resume = false;
-  bool barrier = false;
 };
 
 /// Parses the sweep options; returns false (after printing to stderr) on a
@@ -85,8 +83,6 @@ bool parse_sweep_args(int argc, char** argv, int first, SweepCli& cli) {
     };
     if (arg == "--resume") {
       cli.resume = true;
-    } else if (arg == "--barrier") {
-      cli.barrier = true;
     } else if (arg.rfind("--shard=", 0) == 0) {
       const std::string value = value_of("--shard=");
       const std::size_t slash = value.find('/');
@@ -229,7 +225,6 @@ int run_registry_sweep(const exp::SweepEntry& entry, int argc, char** argv,
       cli.log_path.empty() ? default_log_path(spec, cli) : cli.log_path;
   options.resume = cli.resume;
   options.max_attempts = cli.max_attempts;
-  options.barrier_per_point = cli.barrier;
   options.progress = ProgressPrinter{};
 
   std::cout << "Running sweep '" << spec.name << "'";
@@ -342,7 +337,7 @@ int run_list() {
             << "  " << std::setw(20) << "tightness"
             << "bound / worst-observed response ratios\n"
             << "  " << std::setw(20) << "analysis"
-            << "analysis-pipeline + sweep-wall bench (BENCH_analysis.json)\n"
+            << "analysis-pipeline bench (BENCH_analysis.json)\n"
             << "  " << std::setw(20) << "ablation_solver"
             << "MILP strategy ablation (BENCH_solver.json)\n";
   return 0;
@@ -384,16 +379,8 @@ int mcs_bench_main(int argc, char** argv) {
   return 2;
 }
 
-int run_as_tool(const char* tool, int argc, char** argv) {
-  std::vector<char*> forwarded;
-  forwarded.reserve(static_cast<std::size_t>(argc) + 2);
-  forwarded.push_back(argv[0]);
-  forwarded.push_back(const_cast<char*>(tool));
-  for (int i = 1; i < argc; ++i) {
-    forwarded.push_back(argv[i]);
-  }
-  return mcs_bench_main(static_cast<int>(forwarded.size()),
-                        forwarded.data());
-}
-
 }  // namespace mcs::bench
+
+int main(int argc, char** argv) {
+  return mcs::bench::mcs_bench_main(argc, argv);
+}

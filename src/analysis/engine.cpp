@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,7 +17,6 @@
 #include "lp/milp.hpp"
 #include "support/contracts.hpp"
 #include "support/telemetry.hpp"
-#include "support/thread_pool.hpp"
 
 namespace mcs::analysis {
 
@@ -186,18 +184,8 @@ struct TaskCacheEntry {
 };
 
 struct AnalysisEngine::Impl {
-  explicit Impl(const EngineConfig& cfg) : config(cfg) {}
-
-  EngineConfig config;
   std::vector<TaskSig> sig;
   std::vector<TaskCacheEntry> cache;
-
-  // Parallel fan-out machinery, created on first use: one private serial
-  // engine per pool worker, with the stable mapping task i -> worker
-  // i % workers so each task's cache chain is identical for every thread
-  // count (including 1, where the parent's own cache plays that role).
-  std::unique_ptr<support::ThreadPool> pool;
-  std::vector<std::unique_ptr<AnalysisEngine>> worker_engines;
 
   /// Sensitivity warm-seed store, active only inside max_scaling_factor.
   struct SensitivityState {
@@ -209,24 +197,6 @@ struct AnalysisEngine::Impl {
     std::map<std::pair<bool, std::uint64_t>, PerMarking> store;
   };
   SensitivityState* sens = nullptr;
-
-  std::size_t effective_workers() const {
-    if (config.threads == 1) return 1;
-    if (config.threads != 0) return config.threads;
-    return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-
-  void ensure_pool() {
-    if (pool != nullptr) return;
-    const std::size_t w = effective_workers();
-    pool = std::make_unique<support::ThreadPool>(w);
-    worker_engines.reserve(w);
-    for (std::size_t i = 0; i < w; ++i) {
-      worker_engines.push_back(
-          std::make_unique<AnalysisEngine>(EngineConfig{/*threads=*/1}));
-    }
-    telemetry::count("analysis.engine.workers", w);
-  }
 
   /// Drops every cached formulation / memo when the task-set parameters
   /// (LS flags excluded) changed since the last call.
@@ -562,23 +532,9 @@ std::vector<TaskBoundResult> AnalysisEngine::Impl::bound_all(
     }
   }
   std::vector<TaskBoundResult> results(n);
-  const std::size_t w = effective_workers();
-  if (w <= 1 || n <= 1) {
-    sync_task_set(tasks);
-    for (std::size_t i = 0; i < n; ++i) {
-      results[i] = bound(tasks, i, options, warm[i]);
-    }
-  } else {
-    ensure_pool();
-    // Stripe c of parallel_for_chunked runs exactly the indices with
-    // i % w == c, sequentially — so worker engine c is only ever touched
-    // from one pool task at a time, and task i always lands on the same
-    // engine no matter the thread count.
-    support::parallel_for_chunked(
-        *pool, n, w, [&](std::size_t i) {
-          results[i] =
-              worker_engines[i % w]->impl_->bound(tasks, i, options, warm[i]);
-        });
+  sync_task_set(tasks);
+  for (std::size_t i = 0; i < n; ++i) {
+    results[i] = bound(tasks, i, options, warm[i]);
   }
   if (sens != nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -693,24 +649,16 @@ ProposedResult AnalysisEngine::Impl::proposed(const rt::TaskSet& tasks,
     round = 1;
   }
 
-  // Task i is bounded on the engine that owns it — this one when serial,
-  // worker i % w when pooled, the mapping bound_all uses — so its build ->
-  // patch -> solve chain is the same for every thread count.  Rounds are
-  // sequential: the pool only serves the all-task passes.
-  const std::size_t w = effective_workers();
-  const bool pooled = w > 1 && n > 1;
-  if (pooled) ensure_pool();
-  const auto bound_owned = [&](rt::TaskIndex i) {
-    Impl& owner = pooled ? *worker_engines[i % w]->impl_ : *this;
-    const TaskBoundResult b = owner.bound(
-        working, i, options, warm_seed(working, i, options.ignore_ls));
+  const auto bound_task = [&](rt::TaskIndex i) {
+    const TaskBoundResult b =
+        bound(working, i, options, warm_seed(working, i, options.ignore_ls));
     store_seed(working, i, options.ignore_ls, b);
     return b;
   };
 
   // At most one promotion per round and at most n rounds.
   for (; round <= n; ++round) {
-    const std::optional<rt::TaskIndex> failing = run_round(bound_owned);
+    const std::optional<rt::TaskIndex> failing = run_round(bound_task);
     if (!failing) {
       result.schedulable = true;
       for (rt::TaskIndex i = 0; i < working.size(); ++i) {
@@ -770,7 +718,9 @@ ApproachResult AnalysisEngine::Impl::dispatch(const rt::TaskSet& tasks,
 }
 
 AnalysisEngine::AnalysisEngine(const EngineConfig& config)
-    : impl_(std::make_unique<Impl>(config)) {}
+    : impl_(std::make_unique<Impl>()) {
+  MCS_REQUIRE(config.threads == 1, "EngineConfig::threads must be 1");
+}
 
 AnalysisEngine::~AnalysisEngine() = default;
 
@@ -888,10 +838,6 @@ SensitivityResult AnalysisEngine::max_scaling_factor(
   result.max_factor = lo;
   result.min_failing_factor = hi;
   return result;
-}
-
-std::size_t AnalysisEngine::workers() const noexcept {
-  return impl_->effective_workers();
 }
 
 }  // namespace mcs::analysis

@@ -16,19 +16,15 @@
 //    the clamped root model and simplex tableaus alive across solves;
 //  * carried incumbents, so each branch & bound starts pruning from the
 //    previous round's solution;
-//  * memoized NPS bounds;
-//  * optional fan-out of the all-task passes (analyze_wp, analyze_marked)
-//    onto a support::ThreadPool with one private engine per worker and a
-//    stable task-to-worker mapping, so results are index-merged.  Greedy
-//    rounds stop at the first deadline miss (paper §VI) and do not fan
-//    out; they bound each task on the same owning engine.
+//  * memoized NPS bounds.
 //
-// Determinism: for a fixed sequence of calls, every engine method returns
-// the same result for every thread count.  Each cached formulation's solve
-// chain (build -> patch -> solve sequences) depends only on the calls made
-// for that task, and the MilpSolver session guarantees each solve is
+// An engine is serial: every pass bounds its tasks one after another on
+// this engine's caches.  Greedy rounds stop at the first deadline miss
+// (paper §VI).
+//
+// Determinism: the MilpSolver session guarantees each solve is
 // bit-identical to a fresh solve of the same patched model.  Results are
-// also independent of the state the engine carried in, but only at
+// independent of the state the engine carried in, but only at
 // relative_gap = 0, where every MILP is solved to proven optimality.  At a
 // nonzero gap a carried incumbent can change where branch & bound stops,
 // so a bound can differ from a fresh engine's by up to the gap.
@@ -51,9 +47,8 @@
 namespace mcs::analysis {
 
 struct EngineConfig {
-  /// Worker threads for per-task fan-out in analyze_wp / analyze_marked:
-  /// 1 = serial (no pool), 0 = hardware concurrency, N = N workers.
-  /// Results are identical for every value; only wall time changes.
+  /// Must be 1; kept so existing callers compile.  The constructor rejects
+  /// any other value with a ContractViolation.
   std::size_t threads = 1;
 };
 
@@ -116,9 +111,6 @@ class AnalysisEngine {
                                        Approach approach,
                                        ScalingDimension dimension,
                                        const SensitivityOptions& options = {});
-
-  /// Worker count the engine would fan out on (1 when serial).
-  std::size_t workers() const noexcept;
 
  private:
   struct Impl;

@@ -253,23 +253,10 @@ SweepRunResult run_sweep(const SweepSpec& spec, const RunnerOptions& options) {
   };
 
   support::ThreadPool pool(options.threads);
-  if (options.barrier_per_point) {
-    // Legacy execution shape: drain every unit of a point before the next
-    // point starts.  Same outcomes, worse tail utilization.
-    std::size_t cursor = 0;
-    for (std::size_t p = 0; p < points; ++p) {
-      while (cursor < units.size() && units[cursor].point == p) {
-        const SweepUnit unit = units[cursor++];
-        pool.submit([&run_unit, unit] { run_unit(unit); });
-      }
-      pool.wait_idle();
-    }
-  } else {
-    for (const SweepUnit& unit : units) {
-      pool.submit([&run_unit, unit] { run_unit(unit); });
-    }
-    pool.wait_idle();
+  for (const SweepUnit& unit : units) {
+    pool.submit([&run_unit, unit] { run_unit(unit); });
   }
+  pool.wait_idle();
 
   // Resumed outcomes join the fresh ones so callers see the whole shard.
   for (auto& [index, unit] : completed) {

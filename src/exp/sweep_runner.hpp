@@ -81,10 +81,6 @@ struct RunnerOptions {
   bool resume = false;
   /// Attempts per unit before recording an error outcome (>= 1).
   std::uint32_t max_attempts = 2;
-  /// Legacy execution mode: wait for every unit of point p before starting
-  /// point p+1.  Exists for the barrier-vs-queue bench comparison; output
-  /// is byte-identical either way.
-  bool barrier_per_point = false;
   /// Test hook emulating a crash: stop evaluating after this many units
   /// (0 = no limit).  Remaining units get no record, as after a SIGKILL.
   std::size_t unit_limit = 0;

@@ -126,28 +126,4 @@ void parallel_for(ThreadPool& pool, std::size_t count,
   pool.wait_idle();
 }
 
-void parallel_for_chunked(ThreadPool& pool, std::size_t count,
-                          std::size_t chunks,
-                          const std::function<void(std::size_t)>& fn) {
-  if (count == 0) {
-    pool.wait_idle();  // surface any pending error, like parallel_for would
-    return;
-  }
-  if (chunks == 0) {
-    chunks = pool.worker_count();
-  }
-  chunks = std::min(std::max<std::size_t>(1, chunks), count);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    pool.submit([&fn, c, count, chunks] {
-      // The chunk's stripe runs in ascending order; if one index throws
-      // the rest of the stripe is skipped (other stripes still complete —
-      // wait_idle drains the queue before rethrowing the first error).
-      for (std::size_t i = c; i < count; i += chunks) {
-        run_indexed(fn, i);
-      }
-    });
-  }
-  pool.wait_idle();
-}
-
 }  // namespace mcs::support

@@ -61,12 +61,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Exception surfaced by parallel_for / parallel_for_chunked when a body
-/// invocation throws: wraps the original exception and remembers *which*
-/// index failed, so a sweep over thousands of task sets can report the
-/// culprit instead of a bare what().  Derives from std::runtime_error: the
-/// what() text embeds the index and the original message, so callers that
-/// only catch std::runtime_error keep working.
+/// Exception surfaced by parallel_for when a body invocation throws: wraps
+/// the original exception and remembers *which* index failed, so a sweep
+/// over thousands of task sets can report the culprit instead of a bare
+/// what().  Derives from std::runtime_error: the what() text embeds the
+/// index and the original message, so callers that only catch
+/// std::runtime_error keep working.
 class ParallelForError : public std::runtime_error {
  public:
   ParallelForError(std::size_t index, const std::string& message,
@@ -87,18 +87,5 @@ class ParallelForError : public std::runtime_error {
 /// A throwing body surfaces as ParallelForError carrying the index.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
-
-/// Like parallel_for, but submits `chunks` pool tasks instead of `count`
-/// (0 means the pool's worker count; clamped to [1, count]).  Chunk c runs
-/// the indices congruent to c modulo the chunk count — i = c, c + chunks,
-/// c + 2*chunks, ... — *sequentially*.  Callers may therefore keep one
-/// exclusive mutable context per chunk and pick it as `context[i % chunks]`
-/// inside the body: the same context is never touched by two chunks, and
-/// index i always lands on the same context regardless of how the pool
-/// interleaves the chunks (this is what makes the analysis engine's
-/// per-worker solver caches thread-count independent).
-void parallel_for_chunked(ThreadPool& pool, std::size_t count,
-                          std::size_t chunks,
-                          const std::function<void(std::size_t)>& fn);
 
 }  // namespace mcs::support

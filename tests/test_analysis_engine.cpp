@@ -4,8 +4,7 @@
 // fast it is computed.  The carried-state tests run with relative_gap = 0
 // so every MILP is solved to proven optimality: exact optima are
 // independent of the search path, making the expected equalities bit-exact
-// rather than tolerance-based.  Thread-count independence is also checked
-// at the Fig. 2 gap.
+// rather than tolerance-based.
 #include "analysis/engine.hpp"
 
 #include <cmath>
@@ -17,6 +16,7 @@
 #include "gen/generator.hpp"
 #include "rt/arrival.hpp"
 #include "rt/task.hpp"
+#include "support/contracts.hpp"
 #include "support/rng.hpp"
 #include "support/telemetry.hpp"
 
@@ -133,46 +133,12 @@ TEST(AnalysisEngine, CarriedStateMatchesThrowawayAcrossCorpus) {
   }
 }
 
-// threads = 1 and threads = N must agree exactly — including the solver
-// effort statistics, because task i's build/patch/solve chain lands on the
-// same per-worker cache for every thread count.  At the Fig. 2 gap (0.02) a
-// bound also depends on that chain (carried incumbents steer where branch &
-// bound stops), so that pass checks the stable mapping itself.
-TEST(AnalysisEngine, ThreadCountDoesNotChangeResults) {
-  for (const double gap : {0.0, 0.02}) {
-    AnalysisOptions options;
-    options.milp.relative_gap = gap;
-    AnalysisEngine serial(EngineConfig{/*threads=*/1});
-    AnalysisEngine pooled(EngineConfig{/*threads=*/3});
-    for (const TaskSet& tasks : corpus()) {
-      const WpResult wp_serial = serial.analyze_wp(tasks, options);
-      const WpResult wp_pooled = pooled.analyze_wp(tasks, options);
-      expect_same_wp(wp_pooled, wp_serial, "wp threads");
-      EXPECT_EQ(wp_pooled.total_milp_nodes, wp_serial.total_milp_nodes);
-      EXPECT_EQ(wp_pooled.any_relaxation_fallback,
-                wp_serial.any_relaxation_fallback);
-
-      // analyze_marked fans out on the worker engines, and the greedy
-      // rounds below patch the formulations it left behind there.
-      const WpResult m_serial = serial.analyze_marked(tasks, options);
-      const WpResult m_pooled = pooled.analyze_marked(tasks, options);
-      expect_same_wp(m_pooled, m_serial, "marked threads");
-      EXPECT_EQ(m_pooled.total_milp_nodes, m_serial.total_milp_nodes);
-
-      const ProposedResult runs[][2] = {
-          {serial.analyze_proposed(tasks, options),
-           pooled.analyze_proposed(tasks, options)},
-          {serial.analyze_proposed(tasks, options, &wp_serial),
-           pooled.analyze_proposed(tasks, options, &wp_pooled)},
-      };
-      for (const auto& [p_serial, p_pooled] : runs) {
-        expect_same_proposed(p_pooled, p_serial, "proposed threads");
-        EXPECT_EQ(p_pooled.total_milp_nodes, p_serial.total_milp_nodes);
-        EXPECT_EQ(p_pooled.any_relaxation_fallback,
-                  p_serial.any_relaxation_fallback);
-      }
-    }
-  }
+// The engine is serial: EngineConfig::threads accepts only 1.
+TEST(AnalysisEngine, RejectsThreadCountsOtherThanOne) {
+  EXPECT_THROW(AnalysisEngine(EngineConfig{0}),
+               mcs::support::ContractViolation);
+  EXPECT_THROW(AnalysisEngine(EngineConfig{4}),
+               mcs::support::ContractViolation);
 }
 
 // A greedy round stops at the first deadline miss (paper §VI): when the
@@ -185,19 +151,17 @@ TEST(AnalysisEngine, GreedyRoundStopsAtFirstMiss) {
                        make_task("lp", 50, 15, 900, 850, 2)});
   const AnalysisOptions options = exact_options();
   telemetry::set_enabled(true);
-  for (const std::size_t threads : {1u, 3u}) {
-    AnalysisEngine engine(EngineConfig{threads});
-    const std::uint64_t before = counter("analysis.tasks_analyzed");
-    const ProposedResult r = engine.analyze_proposed(tasks, options);
-    const std::uint64_t analyzed = counter("analysis.tasks_analyzed") - before;
-    EXPECT_FALSE(r.schedulable);
-    ASSERT_EQ(r.rounds, 2u);
-    EXPECT_EQ(analyzed, r.rounds) << "threads=" << threads;
-    EXPECT_TRUE(r.per_task[0].exceeded_deadline);
-    for (mcs::rt::TaskIndex i = 1; i < tasks.size(); ++i) {
-      EXPECT_EQ(r.per_task[i].wcrt, mcs::rt::kTimeMax);  // never bounded
-      EXPECT_FALSE(r.per_task[i].schedulable);
-    }
+  AnalysisEngine engine;
+  const std::uint64_t before = counter("analysis.tasks_analyzed");
+  const ProposedResult r = engine.analyze_proposed(tasks, options);
+  const std::uint64_t analyzed = counter("analysis.tasks_analyzed") - before;
+  EXPECT_FALSE(r.schedulable);
+  ASSERT_EQ(r.rounds, 2u);
+  EXPECT_EQ(analyzed, r.rounds);
+  EXPECT_TRUE(r.per_task[0].exceeded_deadline);
+  for (mcs::rt::TaskIndex i = 1; i < tasks.size(); ++i) {
+    EXPECT_EQ(r.per_task[i].wcrt, mcs::rt::kTimeMax);  // never bounded
+    EXPECT_FALSE(r.per_task[i].schedulable);
   }
 }
 

@@ -1,10 +1,10 @@
 // Determinism corpus for the sweep work-queue engine (DESIGN.md §5.13).
 //
 // The contract under test: the CSV emitted by a sweep is byte-identical
-// across thread counts, shard layouts, kill/--resume boundaries, and the
-// barrier-vs-queue execution modes.  Plus the crash-safety properties of
-// the JSONL log: partial trailing lines are dropped, error units are
-// isolated, retries are bounded, and merge refuses foreign logs.
+// across thread counts, shard layouts and kill/--resume boundaries.  Plus
+// the crash-safety properties of the JSONL log: partial trailing lines are
+// dropped, error units are isolated, retries are bounded, and merge refuses
+// foreign logs.
 #include "exp/sweep_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -103,16 +103,6 @@ TEST_F(SweepRunnerTest, ByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(csv_of(spec, run_sweep(spec, many)), csv1)
         << "threads=" << threads;
   }
-}
-
-TEST_F(SweepRunnerTest, ByteIdenticalBarrierVsQueue) {
-  const SweepSpec spec = tiny_spec();
-  RunnerOptions queue;
-  queue.threads = 3;
-  RunnerOptions barrier = queue;
-  barrier.barrier_per_point = true;
-  EXPECT_EQ(csv_of(spec, run_sweep(spec, barrier)),
-            csv_of(spec, run_sweep(spec, queue)));
 }
 
 TEST_F(SweepRunnerTest, ShardedRunsMergeToIdenticalBytes) {

@@ -139,65 +139,4 @@ TEST(ThreadPool, ParallelForErrorCarriesIndexAndCause) {
   }
 }
 
-TEST(ThreadPool, ChunkedVisitsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(23);
-  mcs::support::parallel_for_chunked(
-      pool, hits.size(), 3,
-      [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPool, ChunkedStripesRunSequentially) {
-  // Chunk c owns the indices congruent to c mod chunks and must run them
-  // in ascending order — callers key exclusive per-chunk state off
-  // i % chunks and rely on it (analysis engine worker mapping).
-  ThreadPool pool(4);
-  constexpr std::size_t kChunks = 3;
-  constexpr std::size_t kCount = 50;
-  std::atomic<std::size_t> ticket{0};
-  std::vector<std::size_t> stamp(kCount, 0);
-  mcs::support::parallel_for_chunked(
-      pool, kCount, kChunks,
-      [&](std::size_t i) { stamp[i] = ticket.fetch_add(1); });
-  for (std::size_t c = 0; c < kChunks; ++c) {
-    for (std::size_t i = c + kChunks; i < kCount; i += kChunks) {
-      EXPECT_LT(stamp[i - kChunks], stamp[i])
-          << "stripe " << c << " ran out of order at index " << i;
-    }
-  }
-}
-
-TEST(ThreadPool, ChunkedClampsChunksAndHandlesZeroCount) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(4);
-  // More chunks than indices: clamped, still exactly-once.
-  mcs::support::parallel_for_chunked(
-      pool, hits.size(), 99, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-  // chunks = 0 means "pool worker count"; count = 0 is a no-op.
-  std::atomic<int> counter{0};
-  mcs::support::parallel_for_chunked(
-      pool, 10, 0, [&counter](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 10);
-  EXPECT_NO_THROW(mcs::support::parallel_for_chunked(
-      pool, 0, 3, [](std::size_t) { FAIL() << "body ran for count 0"; }));
-}
-
-TEST(ThreadPool, ChunkedPropagatesErrorWithIndex) {
-  ThreadPool pool(3);
-  try {
-    mcs::support::parallel_for_chunked(pool, 30, 4, [](std::size_t i) {
-      if (i == 13) throw std::runtime_error("boom");
-    });
-    FAIL() << "parallel_for_chunked did not rethrow";
-  } catch (const mcs::support::ParallelForError& error) {
-    EXPECT_EQ(error.index(), 13u);
-  }
-}
-
 }  // namespace

@@ -1,7 +1,6 @@
 // mcs_cli — command-line front end to the library.
 //
 //   mcs_cli analyze  <workload>  [--approach=proposed|wp|nps|all] [--opa]
-//                                [--threads=<n>]
 //   mcs_cli simulate <workload>  [--protocol=proposed|wp|nps]
 //                                [--horizon=<ticks>] [--pattern=sync|sporadic]
 //                                [--seed=<n>] [--gantt]
@@ -69,9 +68,6 @@ int usage() {
       "usage:\n"
       "  mcs_cli analyze   <workload> [--approach=proposed|wp|nps|all] "
       "[--opa]\n"
-      "                    [--threads=<n>]  (0 = hardware concurrency; the\n"
-      "                    verdicts and bounds are thread-count "
-      "independent)\n"
       "  mcs_cli simulate  <workload> [--protocol=proposed|wp|nps]\n"
       "                    [--horizon=<ticks>] [--pattern=sync|sporadic]\n"
       "                    [--seed=<n>] [--gantt]\n"
@@ -149,13 +145,8 @@ int cmd_analyze(const rt::Workload& workload, int argc, char** argv) {
   // slots, WP its own all-NLS (ignore_ls) slot, and NPS its own memo.  The
   // reuse is inside proposed: each greedy round patches the formulations
   // of the round before (new LS marking as bound/rhs edits) instead of
-  // rebuilding them.  --threads fans the WP pass's per-task bounds out on
-  // a pool (deterministically — any thread count gives the same output).
-  // Greedy rounds stop at their first miss and run serially.
-  analysis::EngineConfig engine_config;
-  engine_config.threads = static_cast<std::size_t>(
-      std::stoull(option(argc, argv, "threads").value_or("1")));
-  analysis::AnalysisEngine engine(engine_config);
+  // rebuilding them.  Greedy rounds stop at their first miss.
+  analysis::AnalysisEngine engine;
 
   const auto& tasks = workload.tasks;
   bool all_ok = true;
