@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <iomanip>
 #include <iostream>
@@ -382,5 +383,11 @@ int mcs_bench_main(int argc, char** argv) {
 }  // namespace mcs::bench
 
 int main(int argc, char** argv) {
-  return mcs::bench::mcs_bench_main(argc, argv);
+  // A refused resume, an incomplete merge or a corrupt log: exit 2.
+  try {
+    return mcs::bench::mcs_bench_main(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "mcs_bench: " << error.what() << "\n";
+    return 2;
+  }
 }

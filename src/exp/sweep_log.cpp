@@ -1,313 +1,108 @@
 #include "exp/sweep_log.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <charconv>
-#include <cstring>
+#include <cstdint>
 #include <fstream>
-#include <map>
-#include <mutex>
-#include <sstream>
 #include <stdexcept>
-#include <system_error>
+#include <utility>
+
+#include "support/json.hpp"
+#include "support/jsonl.hpp"
 
 namespace mcs::exp {
 
 namespace {
 
-constexpr const char* kSchema = "mcs-sweep-log-v1";
+using support::Json;
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
+constexpr const char* kSchema = "mcs-sweep-log-v2";
+
+[[noreturn]] void unexpected_schema(const std::string& schema) {
+  throw std::runtime_error("sweep log: unexpected schema '" + schema + "'");
 }
 
-void append_double(std::string& out, double value) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value,
-                                       std::chars_format::general, 17);
-  if (ec != std::errc{}) {
-    throw std::runtime_error("sweep log: to_chars(double) failed");
-  }
-  out.append(buf, static_cast<std::size_t>(ptr - buf));
-}
-
-// ---------------------------------------------------------------------------
-// Flat-object parser for exactly the JSON this file writes: an object whose
-// values are strings, numbers, or arrays of strings/numbers.
-
-struct Value {
-  enum Kind { kString, kNumber, kArray } kind = kNumber;
-  std::string text;                 ///< decoded string or raw number token
-  std::vector<std::string> array;   ///< decoded/raw array elements
-};
-
-class FlatParser {
- public:
-  explicit FlatParser(std::string_view line) : text_(line) {}
-
-  std::map<std::string, Value> parse() {
-    std::map<std::string, Value> object;
-    skip_ws();
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return object;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      object[std::move(key)] = parse_value();
-      skip_ws();
-      const char c = next();
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}'");
-    }
-    return object;
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    throw std::runtime_error(std::string("sweep log: malformed record (") +
-                             what + ")");
-  }
-
-  char peek() const {
-    if (pos_ >= text_.size()) fail("unexpected end of line");
-    return text_[pos_];
-  }
-  char next() {
-    const char c = peek();
-    ++pos_;
-    return c;
-  }
-  void expect(char c) {
-    if (next() != c) fail("unexpected character");
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = next();
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      const char esc = next();
-      switch (esc) {
-        case '"':
-          out.push_back('"');
-          break;
-        case '\\':
-          out.push_back('\\');
-          break;
-        case '/':
-          out.push_back('/');
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'u': {
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = next();
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          // Only ASCII control characters are ever written this way.
-          if (code > 0x7f) fail("unsupported \\u escape");
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          fail("bad escape");
-      }
-    }
-  }
-
-  std::string parse_number_token() {
-    std::string token;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E') {
-        token.push_back(c);
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (token.empty()) fail("expected number");
-    return token;
-  }
-
-  Value parse_value() {
-    Value value;
-    const char c = peek();
-    if (c == '"') {
-      value.kind = Value::kString;
-      value.text = parse_string();
-    } else if (c == '[') {
-      ++pos_;
-      value.kind = Value::kArray;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return value;
-      }
-      for (;;) {
-        skip_ws();
-        value.array.push_back(peek() == '"' ? parse_string()
-                                            : parse_number_token());
-        skip_ws();
-        const char sep = next();
-        if (sep == ']') break;
-        if (sep != ',') fail("expected ',' or ']'");
-      }
-    } else {
-      value.kind = Value::kNumber;
-      value.text = parse_number_token();
-    }
-    return value;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-std::uint64_t to_u64(const std::string& token, const char* field) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), out);
-  if (ec != std::errc{} || ptr != token.data() + token.size()) {
-    throw std::runtime_error(std::string("sweep log: field '") + field +
-                             "' is not an unsigned integer");
-  }
-  return out;
-}
-
-double to_double(const std::string& token, const char* field) {
-  double out = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), out);
-  if (ec != std::errc{} || ptr != token.data() + token.size()) {
-    throw std::runtime_error(std::string("sweep log: field '") + field +
-                             "' is not a number");
-  }
-  return out;
-}
-
-const Value& require(const std::map<std::string, Value>& object,
-                     const char* key) {
-  const auto it = object.find(key);
-  if (it == object.end()) {
+const Json& field(const Json& record, const char* key) {
+  const Json* value = record.find(key);
+  if (value == nullptr) {
     throw std::runtime_error(std::string("sweep log: missing field '") +
                              key + "'");
   }
-  return it->second;
+  return *value;
 }
 
-SweepLogHeader parse_header(const std::map<std::string, Value>& object) {
+/// A count or index: a non-negative JSON integer.
+std::uint64_t count_of(const Json& value) {
+  const std::int64_t count = value.as_int64();
+  if (count < 0) throw std::runtime_error("sweep log: negative count");
+  return static_cast<std::uint64_t>(count);
+}
+
+std::size_t size_field(const Json& record, const char* key) {
+  return static_cast<std::size_t>(count_of(field(record, key)));
+}
+
+/// Seeds and value hashes use all 64 bits, past JSON's INT64_MAX, so they
+/// are written as decimal strings.
+std::uint64_t decimal_field(const Json& record, const char* key) {
+  const std::string& text = field(record, key).as_string();
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc{} || ptr != text.data() + text.size()) {
+    throw std::runtime_error(std::string("sweep log: field '") + key +
+                             "' is not a decimal u64");
+  }
+  return value;
+}
+
+Json count_json(std::uint64_t value) {
+  return Json(static_cast<std::int64_t>(value));
+}
+
+SweepLogHeader parse_header(const Json& record) {
   SweepLogHeader header;
-  header.name = require(object, "name").text;
-  header.axis = require(object, "axis").text;
-  header.seed = to_u64(require(object, "seed").text, "seed");
-  header.points =
-      static_cast<std::size_t>(to_u64(require(object, "points").text,
-                                      "points"));
-  header.slots = static_cast<std::size_t>(
-      to_u64(require(object, "slots").text, "slots"));
-  header.values_hash =
-      to_u64(require(object, "values_hash").text, "values_hash");
-  header.shard_index = static_cast<std::size_t>(
-      to_u64(require(object, "shard").text, "shard"));
-  header.shard_count = static_cast<std::size_t>(
-      to_u64(require(object, "shards").text, "shards"));
-  header.metrics = require(object, "metrics").array;
+  header.name = field(record, "name").as_string();
+  header.axis = field(record, "axis").as_string();
+  header.seed = decimal_field(record, "seed");
+  header.points = size_field(record, "points");
+  header.slots = size_field(record, "slots");
+  header.values_hash = decimal_field(record, "values_hash");
+  header.shard_index = size_field(record, "shard");
+  header.shard_count = size_field(record, "shards");
+  for (const Json& metric : field(record, "metrics").as_array()) {
+    header.metrics.push_back(metric.as_string());
+  }
   return header;
 }
 
-UnitOutcome parse_unit(const std::map<std::string, Value>& object) {
+UnitOutcome parse_unit(const Json& record) {
   UnitOutcome unit;
-  unit.point = static_cast<std::size_t>(
-      to_u64(require(object, "point").text, "point"));
-  unit.slot =
-      static_cast<std::size_t>(to_u64(require(object, "slot").text, "slot"));
-  const std::string& status = require(object, "status").text;
+  unit.point = size_field(record, "point");
+  unit.slot = size_field(record, "slot");
+  const std::string& status = field(record, "status").as_string();
   if (status == "ok") {
     unit.ok = true;
-    const Value& metrics = require(object, "metrics");
-    unit.metrics.reserve(metrics.array.size());
-    for (const std::string& token : metrics.array) {
-      unit.metrics.push_back(to_u64(token, "metrics"));
+    for (const Json& metric : field(record, "metrics").as_array()) {
+      unit.metrics.push_back(count_of(metric));
     }
   } else if (status == "error") {
-    unit.ok = false;
-    unit.error = require(object, "error").text;
+    unit.error = field(record, "error").as_string();
   } else {
     throw std::runtime_error("sweep log: unknown status '" + status + "'");
   }
-  unit.attempts = static_cast<std::uint32_t>(
-      to_u64(require(object, "attempts").text, "attempts"));
-  unit.seconds = to_double(require(object, "seconds").text, "seconds");
+  unit.attempts = static_cast<std::uint32_t>(size_field(record, "attempts"));
+  unit.seconds = field(record, "seconds").as_number();
   return unit;
+}
+
+/// True when the log's first line is a v1 header.  Those hold values_hash
+/// as a bare u64, which the JSON parser rejects above INT64_MAX; checking
+/// on a parse failure makes the error name the schema, not the overflow.
+bool starts_as_v1(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string first;
+  std::getline(in, first);
+  return first.rfind(R"({"schema":"mcs-sweep-log-v1")", 0) == 0;
 }
 
 }  // namespace
@@ -319,134 +114,70 @@ bool SweepLogHeader::same_sweep(const SweepLogHeader& other) const {
 }
 
 SweepLogContents read_sweep_log(const std::filesystem::path& path) {
-  SweepLogContents contents;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return contents;  // missing log = nothing completed yet
+  support::JsonlContents lines;
+  try {
+    lines = support::read_jsonl(path);
+  } catch (const std::runtime_error&) {
+    if (starts_as_v1(path)) unexpected_schema("mcs-sweep-log-v1");
+    throw;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    const bool is_final = nl == std::string::npos;
-    const std::string_view line(text.data() + start,
-                                (is_final ? text.size() : nl) - start);
-    start = is_final ? text.size() : nl + 1;
-    if (line.empty()) continue;
-
-    std::map<std::string, Value> object;
-    try {
-      object = FlatParser(line).parse();
-      if (object.count("schema") != 0) {
-        if (require(object, "schema").text != kSchema) {
-          throw std::runtime_error("sweep log: unexpected schema '" +
-                                   require(object, "schema").text + "'");
-        }
-        SweepLogHeader header = parse_header(object);
-        if (!contents.header.has_value()) {
-          contents.header = std::move(header);
-        } else if (!contents.header->same_sweep(header)) {
-          throw std::runtime_error(
-              "sweep log: header mismatch inside " + path.string() +
-              " (concatenated logs from different sweeps?)");
-        }
-      } else {
-        contents.units.push_back(parse_unit(object));
-      }
-    } catch (const std::exception&) {
-      // Each record is written newline-terminated in one write(), so a
-      // partial (killed-mid-write) line is exactly a final line with no
-      // trailing newline.  Anything else malformed is real corruption.
-      if (is_final) {
-        contents.truncated_tail = true;
-        break;
-      }
-      throw;
+  SweepLogContents contents;
+  contents.truncated_tail = lines.truncated_tail;
+  for (const Json& record : lines.records) {
+    const Json* schema = record.find("schema");
+    if (schema == nullptr) {
+      contents.units.push_back(parse_unit(record));
+      continue;
+    }
+    if (schema->as_string() != kSchema) unexpected_schema(schema->as_string());
+    SweepLogHeader header = parse_header(record);
+    if (!contents.header.has_value()) {
+      contents.header = std::move(header);
+    } else if (!contents.header->same_sweep(header)) {
+      throw std::runtime_error(
+          "sweep log: header mismatch inside " + path.string() +
+          " (concatenated logs from different sweeps?)");
     }
   }
   return contents;
 }
 
-SweepLogAppender::SweepLogAppender(const std::filesystem::path& path,
-                                   bool truncate)
-    : path_(path) {
-  int flags = O_WRONLY | O_CREAT | O_APPEND;
-  if (truncate) flags |= O_TRUNC;
-  fd_ = ::open(path.c_str(), flags, 0644);
-  if (fd_ < 0) {
-    throw std::runtime_error("sweep log: cannot open " + path.string() +
-                             ": " + std::strerror(errno));
-  }
+std::string sweep_log_line(const SweepLogHeader& header) {
+  Json::Array metrics;
+  for (const std::string& metric : header.metrics) metrics.emplace_back(metric);
+  const Json record(Json::Object{
+      {"schema", Json(std::string(kSchema))},
+      {"name", Json(header.name)},
+      {"axis", Json(header.axis)},
+      {"seed", Json(std::to_string(header.seed))},
+      {"points", count_json(header.points)},
+      {"slots", count_json(header.slots)},
+      {"values_hash", Json(std::to_string(header.values_hash))},
+      {"shard", count_json(header.shard_index)},
+      {"shards", count_json(header.shard_count)},
+      {"metrics", Json(std::move(metrics))},
+  });
+  return record.dump();
 }
 
-SweepLogAppender::~SweepLogAppender() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-  }
-}
-
-void SweepLogAppender::write_line(const std::string& line) {
-  // One write() per line: O_APPEND makes concurrent appends land whole.
-  // Retried on EINTR / short writes (a kill mid-retry leaves a partial
-  // trailing line, which the reader drops).
-  static std::mutex mutex;
-  const std::lock_guard<std::mutex> lock(mutex);
-  std::size_t written = 0;
-  while (written < line.size()) {
-    const ssize_t n =
-        ::write(fd_, line.data() + written, line.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("sweep log: write failed for " +
-                               path_.string() + ": " + std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-}
-
-void SweepLogAppender::append_header(const SweepLogHeader& header) {
-  std::string line = "{\"schema\":\"";
-  line += kSchema;
-  line += "\",\"name\":\"" + json_escape(header.name) + "\"";
-  line += ",\"axis\":\"" + json_escape(header.axis) + "\"";
-  line += ",\"seed\":" + std::to_string(header.seed);
-  line += ",\"points\":" + std::to_string(header.points);
-  line += ",\"slots\":" + std::to_string(header.slots);
-  line += ",\"values_hash\":" + std::to_string(header.values_hash);
-  line += ",\"shard\":" + std::to_string(header.shard_index);
-  line += ",\"shards\":" + std::to_string(header.shard_count);
-  line += ",\"metrics\":[";
-  for (std::size_t i = 0; i < header.metrics.size(); ++i) {
-    if (i != 0) line += ",";
-    line += "\"" + json_escape(header.metrics[i]) + "\"";
-  }
-  line += "]}\n";
-  write_line(line);
-}
-
-void SweepLogAppender::append(const UnitOutcome& outcome) {
-  std::string line = "{\"point\":" + std::to_string(outcome.point);
-  line += ",\"slot\":" + std::to_string(outcome.slot);
-  line += ",\"status\":\"";
-  line += outcome.ok ? "ok" : "error";
-  line += "\",\"attempts\":" + std::to_string(outcome.attempts);
-  line += ",\"seconds\":";
-  append_double(line, outcome.seconds);
+std::string sweep_log_line(const UnitOutcome& outcome) {
+  Json::Object record{
+      {"point", count_json(outcome.point)},
+      {"slot", count_json(outcome.slot)},
+      {"status", Json(std::string(outcome.ok ? "ok" : "error"))},
+      {"attempts", count_json(outcome.attempts)},
+      {"seconds", Json(outcome.seconds)},
+  };
   if (outcome.ok) {
-    line += ",\"metrics\":[";
-    for (std::size_t i = 0; i < outcome.metrics.size(); ++i) {
-      if (i != 0) line += ",";
-      line += std::to_string(outcome.metrics[i]);
+    Json::Array metrics;
+    for (const std::uint64_t metric : outcome.metrics) {
+      metrics.push_back(count_json(metric));
     }
-    line += "]";
+    record.emplace_back("metrics", Json(std::move(metrics)));
   } else {
-    line += ",\"error\":\"" + json_escape(outcome.error) + "\"";
+    record.emplace_back("error", Json(outcome.error));
   }
-  line += "}\n";
-  write_line(line);
+  return Json(std::move(record)).dump();
 }
 
 }  // namespace mcs::exp

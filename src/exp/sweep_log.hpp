@@ -1,25 +1,25 @@
-// Crash-safe JSONL result log for sweep runs (schema "mcs-sweep-log-v1").
+// Crash-safe JSONL result log for sweep runs (schema "mcs-sweep-log-v2").
 //
 // One line per record.  The first line of a fresh log is a header that
 // fingerprints the sweep (name, seed, axis, point/slot counts, a hash of
 // the sweep values, shard layout, metric names); every subsequent line is
 // the final outcome of one (point, slot) work unit:
 //
-//   {"schema":"mcs-sweep-log-v1","name":"fig2a","seed":2020,...}
+//   {"schema":"mcs-sweep-log-v2","name":"fig2a","seed":"2020",...}
 //   {"point":0,"slot":3,"status":"ok","attempts":1,"seconds":0.12,
 //    "metrics":[1,1,1,0,0,0]}
 //   {"point":0,"slot":4,"status":"error","attempts":2,"seconds":0.2,
 //    "error":"..."}
 //
-// Records are appended with a single POSIX O_APPEND write per line, so a
-// SIGKILL can at worst leave one partial trailing line — which the reader
-// drops.  `--resume` reads the log back, verifies the header against the
-// sweep it is about to run, and skips every unit that already has a
-// record.  Shard logs are merged the same way.
+// `seed` and `values_hash` are decimal strings: they use all 64 bits, and
+// JSON integers stop at INT64_MAX.  A v1 log is refused as an unexpected
+// schema.
 //
-// The parser handles exactly the flat JSON this writer produces (string /
-// number / array-of-number values); the repo deliberately has no JSON
-// dependency.
+// This file only maps the schema; the sweep runner writes the lines through
+// support/jsonl.hpp, which owns the crash-safety rules.  `--resume` reads
+// the log back, verifies the header against the sweep it is about to run,
+// and skips every unit that already has a record.  Shard logs are merged
+// the same way.
 #pragma once
 
 #include <cstdint>
@@ -69,31 +69,12 @@ struct SweepLogContents {
 };
 
 /// Reads a sweep log.  A missing file yields empty contents; a partial
-/// trailing line is dropped (see truncated_tail); any other malformed line
-/// throws std::runtime_error.
+/// trailing line is dropped (see truncated_tail); a malformed complete line
+/// or a header of another schema throws std::runtime_error.
 SweepLogContents read_sweep_log(const std::filesystem::path& path);
 
-/// Append-only log writer.  Each append() issues one O_APPEND write of a
-/// complete line, so concurrent appends from worker threads interleave at
-/// line granularity and a killed process never corrupts earlier records.
-class SweepLogAppender {
- public:
-  /// Opens (creating if needed) `path` for appending.  When `truncate`,
-  /// existing content is discarded first (fresh, non-resume run).
-  SweepLogAppender(const std::filesystem::path& path, bool truncate);
-  ~SweepLogAppender();
-
-  SweepLogAppender(const SweepLogAppender&) = delete;
-  SweepLogAppender& operator=(const SweepLogAppender&) = delete;
-
-  void append_header(const SweepLogHeader& header);
-  void append(const UnitOutcome& outcome);
-
- private:
-  void write_line(const std::string& line);
-
-  int fd_ = -1;
-  std::filesystem::path path_;
-};
+/// One log line (no newline) for support::JsonlAppender::append.
+std::string sweep_log_line(const SweepLogHeader& header);
+std::string sweep_log_line(const UnitOutcome& outcome);
 
 }  // namespace mcs::exp

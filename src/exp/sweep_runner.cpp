@@ -11,6 +11,7 @@
 
 #include "support/contracts.hpp"
 #include "support/csv.hpp"
+#include "support/jsonl.hpp"
 #include "support/telemetry.hpp"
 #include "support/thread_pool.hpp"
 
@@ -143,12 +144,12 @@ SweepRunResult run_sweep(const SweepSpec& spec, const RunnerOptions& options) {
   }
 
   // --- result log ---------------------------------------------------------
-  std::unique_ptr<SweepLogAppender> log;
+  std::unique_ptr<support::JsonlAppender> log;
   if (!options.log_path.empty()) {
-    log = std::make_unique<SweepLogAppender>(options.log_path,
-                                             /*truncate=*/!log_has_valid_header);
+    log = std::make_unique<support::JsonlAppender>(
+        options.log_path, /*truncate=*/!log_has_valid_header);
     if (!log_has_valid_header) {
-      log->append_header(result.header);
+      log->append(sweep_log_line(result.header));
     }
   }
 
@@ -230,7 +231,7 @@ SweepRunResult run_sweep(const SweepSpec& spec, const RunnerOptions& options) {
     open_per_point[unit.point].fetch_sub(1, std::memory_order_relaxed);
 
     if (log) {
-      log->append(outcome);
+      log->append(sweep_log_line(outcome));
     }
     support::telemetry::count("exp.sweep.units_done");
     support::telemetry::record("exp.sweep.unit_seconds", outcome.seconds);

@@ -15,7 +15,7 @@
 // kill/--resume boundaries — enforced by tests/test_exp_sweep_runner.cpp.
 //
 // Crash safety: each finished unit is appended to a JSONL log
-// (sweep_log.hpp) with one O_APPEND write; --resume reads the log back,
+// (sweep_log.hpp) as one whole line; --resume reads the log back,
 // verifies the sweep fingerprint, and skips completed units.  A unit whose
 // evaluate() throws is retried up to `max_attempts` times and then recorded
 // as an `error` record — the sweep completes, the row just aggregates one

@@ -1,8 +1,8 @@
 // JSON export of telemetry snapshots (schema "mcs-telemetry-v1", see
-// telemetry.hpp for the layout).  Hand-rolled writer: the schema is flat
-// and fixed, and the repo deliberately has no JSON dependency.
+// telemetry.hpp for the layout).  Streamed by hand rather than through
+// support::Json so the snapshot keeps its pretty-printed layout; names go
+// through support::json_escape.
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <ostream>
@@ -10,46 +10,12 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "support/json.hpp"
 #include "support/telemetry.hpp"
 
 namespace mcs::support::telemetry {
 
 namespace {
-
-/// Escapes a JSON string body (quotes, backslashes, control characters).
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Round-trippable double formatting; JSON has no Infinity/NaN literals, so
 /// non-finite values (which the registry never produces from sane inputs)
@@ -68,14 +34,14 @@ void write_json(const Snapshot& snap, std::ostream& out) {
   out << "{\n  \"schema\": \"mcs-telemetry-v1\",\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : snap.counters) {
-    out << (first ? "\n" : ",\n") << "    \"" << escape(name)
+    out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
         << "\": " << value;
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"timers\": {";
   first = true;
   for (const auto& [name, t] : snap.timers) {
-    out << (first ? "\n" : ",\n") << "    \"" << escape(name)
+    out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
         << "\": {\"count\": " << t.count
         << ", \"total_seconds\": " << number(t.total_seconds)
         << ", \"min_seconds\": " << number(t.min_seconds)
@@ -85,7 +51,7 @@ void write_json(const Snapshot& snap, std::ostream& out) {
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : snap.histograms) {
-    out << (first ? "\n" : ",\n") << "    \"" << escape(name)
+    out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
         << "\": {\"count\": " << h.count << ", \"sum\": " << number(h.sum)
         << ", \"min\": " << number(h.min) << ", \"max\": " << number(h.max)
         << ", \"p50\": " << number(h.p50) << ", \"p90\": " << number(h.p90)

@@ -1,17 +1,9 @@
 #include "svc/request_log.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
-#include "svc/json.hpp"
+#include "support/json.hpp"
 
 namespace mcs::svc {
 
@@ -22,35 +14,12 @@ constexpr const char* kSchema = "mcs-svc-log-v1";
 }  // namespace
 
 RequestLogContents read_request_log(const std::filesystem::path& path) {
+  const support::JsonlContents lines = support::read_jsonl(path);
   RequestLogContents out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return out;
-
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  std::size_t pos = 0;
-  bool first = true;
-  while (pos < content.size()) {
-    const std::size_t nl = content.find('\n', pos);
-    if (nl == std::string::npos) {
-      // No terminating newline: the writer was killed mid-write.
-      out.truncated_tail = true;
-      break;
-    }
-    const std::string line = content.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-
-    Json value;
-    try {
-      value = parse_json(line);
-    } catch (const JsonError& e) {
-      throw std::runtime_error("request log " + path.string() +
-                               ": malformed line: " + e.what());
-    }
-    if (first && value.find("schema") != nullptr) {
-      first = false;
-      const Json* schema = value.find("schema");
+  out.truncated_tail = lines.truncated_tail;
+  for (const support::Json& value : lines.records) {
+    const support::Json* schema = value.find("schema");
+    if (schema != nullptr && &value == &lines.records.front()) {
       if (!schema->is_string() || schema->as_string() != kSchema) {
         throw std::runtime_error("request log " + path.string() +
                                  ": unexpected schema");
@@ -58,15 +27,14 @@ RequestLogContents read_request_log(const std::filesystem::path& path) {
       out.has_header = true;
       continue;
     }
-    first = false;
-    RequestLogRecord rec;
-    const Json* seq = value.find("seq");
-    const Json* request = value.find("request");
-    const Json* response = value.find("response");
+    const support::Json* seq = value.find("seq");
+    const support::Json* request = value.find("request");
+    const support::Json* response = value.find("response");
     if (seq == nullptr || request == nullptr || response == nullptr) {
       throw std::runtime_error("request log " + path.string() +
                                ": record missing seq/request/response");
     }
+    RequestLogRecord rec;
     rec.seq = static_cast<std::uint64_t>(seq->as_int64());
     rec.request = request->as_string();
     rec.response = response->as_string();
@@ -77,39 +45,9 @@ RequestLogContents read_request_log(const std::filesystem::path& path) {
 
 RequestLogWriter::RequestLogWriter(const std::filesystem::path& path,
                                    bool truncate)
-    : path_(path) {
-  int flags = O_WRONLY | O_CREAT | O_APPEND;
-  if (truncate) flags |= O_TRUNC;
-  fd_ = ::open(path.c_str(), flags, 0644);
-  if (fd_ < 0) {
-    throw std::runtime_error("request log: cannot open " + path.string() +
-                             ": " + std::strerror(errno));
-  }
-  struct stat st{};
-  const bool fresh = ::fstat(fd_, &st) == 0 && st.st_size == 0;
-  if (fresh) {
-    write_line(std::string("{\"schema\":\"") + kSchema + "\"}\n");
-  }
-}
-
-RequestLogWriter::~RequestLogWriter() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void RequestLogWriter::write_line(const std::string& line) {
-  // One write() per line: O_APPEND makes concurrent appends land whole.
-  // Retried on EINTR / short writes (a kill mid-retry leaves a partial
-  // trailing line, which the reader drops).
-  std::size_t written = 0;
-  while (written < line.size()) {
-    const ssize_t n =
-        ::write(fd_, line.data() + written, line.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("request log: write failed for " +
-                               path_.string() + ": " + std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
+    : log_(path, truncate) {
+  if (log_.fresh()) {
+    log_.append(std::string("{\"schema\":\"") + kSchema + "\"}");
   }
 }
 
@@ -117,10 +55,9 @@ std::uint64_t RequestLogWriter::append(const std::string& request,
                                        const std::string& response) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t seq = next_seq_++;
-  std::string line = "{\"seq\":" + std::to_string(seq) + ",\"request\":\"" +
-                     json_escape(request) + "\",\"response\":\"" +
-                     json_escape(response) + "\"}\n";
-  write_line(line);
+  log_.append("{\"seq\":" + std::to_string(seq) + ",\"request\":\"" +
+              support::json_escape(request) + "\",\"response\":\"" +
+              support::json_escape(response) + "\"}");
   return seq;
 }
 

@@ -1,12 +1,11 @@
 // Crash-safe JSONL request log for the admission-control service
 // (schema "mcs-svc-log-v1", docs/SERVICE.md §Request log).
 //
-// One line per entry, written with a single O_APPEND write, mirroring
-// exp/sweep_log: a SIGKILL can at worst leave one partial trailing line,
-// which the reader detects and drops.  The first line of a fresh log is a
-// header; every later line records one request/response exchange with the
-// *raw* wire text of both sides, so an offline tool can re-derive any
-// verdict by replaying the request against a fresh service:
+// A schema mapping over support/jsonl.hpp, which owns the crash-safety
+// rules.  The first line of a fresh log is a header; every later line
+// records one request/response exchange with the *raw* wire text of both
+// sides, so an offline tool can re-derive any verdict by replaying the
+// request against a fresh service:
 //
 //   {"schema":"mcs-svc-log-v1"}
 //   {"seq":0,"request":"{\"op\":\"analyze\",...}","response":"{\"ok\":true,...}"}
@@ -17,6 +16,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "support/jsonl.hpp"
 
 namespace mcs::svc {
 
@@ -41,28 +42,21 @@ struct RequestLogContents {
 RequestLogContents read_request_log(const std::filesystem::path& path);
 
 /// Append-only log writer.  Thread-safe: concurrent appends interleave at
-/// line granularity.
+/// line granularity, in sequence-number order.
 class RequestLogWriter {
  public:
   /// Opens (creating if needed) `path` for appending; writes the schema
-  /// header when the file is fresh (empty or truncated).  Throws
-  /// std::runtime_error when the file cannot be opened.
+  /// header when the file is fresh.  Throws std::runtime_error when the
+  /// file cannot be opened.
   RequestLogWriter(const std::filesystem::path& path, bool truncate);
-  ~RequestLogWriter();
-
-  RequestLogWriter(const RequestLogWriter&) = delete;
-  RequestLogWriter& operator=(const RequestLogWriter&) = delete;
 
   /// Appends one exchange; returns the sequence number it was assigned.
   std::uint64_t append(const std::string& request, const std::string& response);
 
  private:
-  void write_line(const std::string& line);
-
-  int fd_ = -1;
+  support::JsonlAppender log_;
+  std::mutex mutex_;  ///< keeps sequence numbers in file order
   std::uint64_t next_seq_ = 0;
-  std::filesystem::path path_;
-  std::mutex mutex_;
 };
 
 }  // namespace mcs::svc

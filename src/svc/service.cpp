@@ -17,16 +17,19 @@
 #include "rt/task.hpp"
 #include "rt/types.hpp"
 #include "support/contracts.hpp"
+#include "support/json.hpp"
 #include "support/telemetry.hpp"
 #include "support/thread_pool.hpp"
 #include "svc/cache.hpp"
 #include "svc/fingerprint.hpp"
-#include "svc/json.hpp"
 #include "svc/request_log.hpp"
 
 namespace mcs::svc {
 
 namespace telemetry = support::telemetry;
+using support::Json;
+using support::JsonError;
+using support::parse_json;
 
 namespace {
 

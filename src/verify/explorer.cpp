@@ -717,6 +717,12 @@ ExploreResult explore(const rt::TaskSet& tasks, sim::Protocol protocol,
     std::vector<std::uint32_t> next_frontier;
     for (std::size_t i = 0; i < frontier.size() && !violated; ++i) {
       for (Succ& succ : expansions[i]) {
+        // Fold completions first: a violating transition's completion (an
+        // MCS-V008 response above its bound) belongs in the exhaustive WCRT.
+        for (const auto& [task, response] : succ.completions) {
+          result.exact_wcrt[task] =
+              std::max(result.exact_wcrt[task], response);
+        }
         if (!succ.report.clean()) {
           violated = true;
           violation_parent = frontier[i];
@@ -728,10 +734,6 @@ ExploreResult explore(const rt::TaskSet& tasks, sim::Protocol protocol,
           ++result.steps;
         } else {
           ++result.release_branches;
-        }
-        for (const auto& [task, response] : succ.completions) {
-          result.exact_wcrt[task] =
-              std::max(result.exact_wcrt[task], response);
         }
         const auto it = seen.find(succ.enc);
         if (it != seen.end()) {

@@ -21,6 +21,7 @@
 
 #include "exp/sweep_log.hpp"
 #include "support/contracts.hpp"
+#include "support/jsonl.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -33,14 +34,15 @@ using mcs::exp::MetricSpec;
 using mcs::exp::read_sweep_log;
 using mcs::exp::run_sweep;
 using mcs::exp::RunnerOptions;
-using mcs::exp::SweepLogAppender;
 using mcs::exp::SweepLogHeader;
 using mcs::exp::SweepRunResult;
 using mcs::exp::SweepSpec;
 using mcs::exp::SweepUnit;
+using mcs::exp::sweep_log_line;
 using mcs::exp::sweep_values_hash;
 using mcs::exp::UnitOutcome;
 using mcs::exp::write_sweep_csv;
+using mcs::support::JsonlAppender;
 using mcs::support::Rng;
 
 std::string slurp(const fs::path& path) {
@@ -189,6 +191,40 @@ TEST_F(SweepRunnerTest, ResumeWithPartialTrailingLineRecovers) {
   uninterrupted.threads = 1;
   EXPECT_EQ(csv_of(spec, run),
             csv_of(spec, run_sweep(spec, uninterrupted)));
+
+  // Reopening cut the fragment off before the first new record, so the
+  // whole log parses and a second resume finds every unit done.
+  const auto after = read_sweep_log(opt.log_path);
+  EXPECT_FALSE(after.truncated_tail);
+  EXPECT_EQ(after.units.size(), spec.values.size() * spec.slots_per_point);
+  const SweepRunResult again = run_sweep(spec, resumed);
+  EXPECT_EQ(again.resume_skips, spec.values.size() * spec.slots_per_point);
+  EXPECT_EQ(csv_of(spec, again), csv_of(spec, run));
+}
+
+TEST_F(SweepRunnerTest, ResumeRefusesV1Log) {
+  const SweepSpec spec = tiny_spec();
+  RunnerOptions opt;
+  opt.threads = 1;
+  opt.log_path = dir_ / "v1.jsonl";
+  {
+    // The v1 header wrote values_hash as a bare u64; this one is above
+    // INT64_MAX, as fig2c's is.
+    std::ofstream out(opt.log_path, std::ios::binary);
+    out << R"({"schema":"mcs-sweep-log-v1","name":"tiny_sweep","axis":"U",)"
+        << R"("seed":42,"points":3,"slots":8,)"
+        << R"("values_hash":17750128640837759016,"shard":0,"shards":1,)"
+        << R"("metrics":["hits","draws"]})" << "\n";
+  }
+  opt.resume = true;
+  try {
+    run_sweep(spec, opt);
+    FAIL() << "a v1 log was resumed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unexpected schema"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(SweepRunnerTest, ResumeRefusesLogFromDifferentSweep) {
@@ -316,10 +352,10 @@ TEST_F(SweepRunnerTest, LogRoundTripPreservesOutcomes) {
   err.seconds = 0.5;
   err.error = "quote \" comma , newline \n done";
   {
-    SweepLogAppender appender(path, /*truncate=*/true);
-    appender.append_header(header);
-    appender.append(ok);
-    appender.append(err);
+    JsonlAppender appender(path, /*truncate=*/true);
+    appender.append(sweep_log_line(header));
+    appender.append(sweep_log_line(ok));
+    appender.append(sweep_log_line(err));
   }
   const auto contents = read_sweep_log(path);
   ASSERT_TRUE(contents.header.has_value());

@@ -1,7 +1,8 @@
-// Unit tests for the admission-control service's building blocks: the
-// hardened JSON layer (svc/json.hpp), canonical task-set fingerprints
-// (svc/fingerprint.hpp), the LRU verdict cache (svc/cache.hpp), and the
-// crash-safe JSONL request log (svc/request_log.hpp).
+// Unit tests for the admission-control service's building blocks:
+// canonical task-set fingerprints (svc/fingerprint.hpp), the LRU verdict
+// cache (svc/cache.hpp), and the crash-safe JSONL request log
+// (svc/request_log.hpp).  The JSON layer's tests live in
+// test_support_json.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,11 +14,9 @@
 #include "rt/task.hpp"
 #include "svc/cache.hpp"
 #include "svc/fingerprint.hpp"
-#include "svc/json.hpp"
 #include "svc/request_log.hpp"
 
 using namespace mcs;
-using svc::Json;
 
 namespace {
 
@@ -47,103 +46,6 @@ svc::Verdict make_verdict(bool schedulable, rt::Time wcrt) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// JSON
-
-TEST(SvcJson, RoundTripsScalarsAndNesting) {
-  const std::string text =
-      R"({"s":"a\"b","n":-42,"d":1.5,"t":true,"f":false,"z":null,)"
-      R"("arr":[1,2,3],"obj":{"k":"v"}})";
-  const Json v = svc::parse_json(text);
-  EXPECT_EQ(v.find("s")->as_string(), "a\"b");
-  EXPECT_EQ(v.find("n")->as_int64(), -42);
-  EXPECT_DOUBLE_EQ(v.find("d")->as_number(), 1.5);
-  EXPECT_TRUE(v.find("t")->as_bool());
-  EXPECT_FALSE(v.find("f")->as_bool());
-  EXPECT_TRUE(v.find("z")->is_null());
-  EXPECT_EQ(v.find("arr")->as_array().size(), 3u);
-  EXPECT_EQ(v.find("obj")->find("k")->as_string(), "v");
-  // dump() is an exact inverse for this value model.
-  EXPECT_EQ(svc::parse_json(v.dump()).dump(), v.dump());
-}
-
-TEST(SvcJson, KeepsLargeIntegersExact) {
-  // 2^53 + 1 is not representable as a double; the tick path must not
-  // round-trip through one.
-  const Json v = svc::parse_json("9007199254740993");
-  EXPECT_EQ(v.as_int64(), INT64_C(9007199254740993));
-  EXPECT_EQ(v.dump(), "9007199254740993");
-  const Json neg = svc::parse_json("-9223372036854775808");
-  EXPECT_EQ(neg.as_int64(), std::numeric_limits<std::int64_t>::min());
-}
-
-TEST(SvcJson, RejectsMalformedInput) {
-  const char* bad[] = {
-      "",                      // empty
-      "{",                     // truncated object
-      "[1,",                   // truncated array
-      "\"abc",                 // unterminated string
-      "{\"a\":1,\"a\":2}",     // duplicate key
-      "nan",                   // not JSON
-      "NaN",                   //
-      "Infinity",              //
-      "-Infinity",             //
-      "1e999",                 // double overflow
-      "01",                    // leading zero
-      "+1",                    // sign not allowed
-      "1.",                    // missing fraction digits
-      ".5",                    // missing integer part
-      "{\"a\":1}x",            // trailing garbage
-      "\"\\q\"",               // bad escape
-      "\"\\ud800\"",           // lone surrogate
-      "{\"a\" 1}",             // missing colon
-      "[1 2]",                 // missing comma
-      "tru",                   // truncated literal
-      "\"\x01\"",              // raw control character
-  };
-  for (const char* text : bad) {
-    EXPECT_THROW(svc::parse_json(text), svc::JsonError)
-        << "accepted: " << text;
-  }
-}
-
-TEST(SvcJson, RejectsExcessiveNestingDepth) {
-  std::string deep;
-  for (std::size_t i = 0; i <= Json::kMaxDepth; ++i) deep += "[";
-  for (std::size_t i = 0; i <= Json::kMaxDepth; ++i) deep += "]";
-  EXPECT_THROW(svc::parse_json(deep), svc::JsonError);
-  std::string ok_depth;
-  for (std::size_t i = 0; i + 1 < Json::kMaxDepth; ++i) ok_depth += "[";
-  for (std::size_t i = 0; i + 1 < Json::kMaxDepth; ++i) ok_depth += "]";
-  EXPECT_NO_THROW(svc::parse_json(ok_depth));
-}
-
-TEST(SvcJson, AsInt64RejectsNonIntegralNumbers) {
-  EXPECT_THROW(svc::parse_json("1.5").as_int64(), svc::JsonError);
-  EXPECT_THROW(svc::parse_json("1e300").as_int64(), svc::JsonError);
-  EXPECT_THROW(svc::parse_json("\"7\"").as_int64(), svc::JsonError);
-  EXPECT_EQ(svc::parse_json("2e3").as_int64(), 2000);
-}
-
-TEST(SvcJson, IntegerOverflowIsAStructuredError) {
-  EXPECT_THROW(svc::parse_json("99999999999999999999999"), svc::JsonError);
-  EXPECT_THROW(svc::parse_json("9223372036854775808"), svc::JsonError);
-}
-
-TEST(SvcJson, EscapesControlCharacters) {
-  EXPECT_EQ(svc::json_escape("a\"b\\c\n\x01"), "a\\\"b\\\\c\\n\\u0001");
-  const Json v{std::string("tab\there")};
-  EXPECT_EQ(v.dump(), "\"tab\\there\"");
-  EXPECT_EQ(svc::parse_json(v.dump()).as_string(), "tab\there");
-}
-
-TEST(SvcJson, FindDistinguishesAbsentFromNull) {
-  const Json v = svc::parse_json(R"({"present":null})");
-  ASSERT_NE(v.find("present"), nullptr);
-  EXPECT_TRUE(v.find("present")->is_null());
-  EXPECT_EQ(v.find("absent"), nullptr);
-}
 
 // ---------------------------------------------------------------------------
 // Fingerprints
@@ -317,6 +219,33 @@ TEST(SvcRequestLog, ReopenAppendsWithoutSecondHeader) {
   ASSERT_EQ(contents.records.size(), 2u);
   EXPECT_EQ(contents.records[0].seq, 0u);
   EXPECT_EQ(contents.records[1].seq, 0u);
+  std::filesystem::remove(path);
+}
+
+TEST(SvcRequestLog, ReopenAfterTornLineAppendsCleanly) {
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "svc_log_torn_reopen.jsonl";
+  std::filesystem::remove(path);
+  {
+    svc::RequestLogWriter writer(path, true);
+    writer.append("{\"op\":\"a\"}", "{\"ok\":true}");
+  }
+  {
+    // SIGKILL mid-write, then a restart on the same log.
+    std::ofstream out(path, std::ios::app | std::ios::binary);
+    out << "{\"seq\":1,\"request\":\"{\\\"op";
+  }
+  {
+    svc::RequestLogWriter writer(path, false);
+    writer.append("{\"op\":\"b\"}", "{\"ok\":true}");
+  }
+  svc::RequestLogContents contents;
+  ASSERT_NO_THROW(contents = svc::read_request_log(path));
+  EXPECT_TRUE(contents.has_header);
+  EXPECT_FALSE(contents.truncated_tail);
+  ASSERT_EQ(contents.records.size(), 2u);
+  EXPECT_EQ(contents.records[0].request, "{\"op\":\"a\"}");
+  EXPECT_EQ(contents.records[1].request, "{\"op\":\"b\"}");
   std::filesystem::remove(path);
 }
 

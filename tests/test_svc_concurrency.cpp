@@ -22,12 +22,12 @@
 #include <vector>
 
 #include "rt/types.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
-#include "svc/json.hpp"
 #include "svc/service.hpp"
 
 using namespace mcs;
-using svc::Json;
+using support::Json;
 
 namespace {
 
@@ -43,7 +43,7 @@ std::string request_sync(svc::AdmissionService& service,
 /// Reduces a response to its thread-count-invariant content: everything
 /// except the `cached` flag (and the mutable status counters).
 std::string canonical(const std::string& response_line) {
-  const Json response = svc::parse_json(response_line);
+  const Json response = support::parse_json(response_line);
   std::ostringstream out;
   const Json* ok = response.find("ok");
   out << "ok=" << (ok != nullptr && ok->as_bool());
@@ -96,7 +96,7 @@ std::vector<std::string> run_client(svc::AdmissionService& service,
       line = req.str();
       const std::string response = request_sync(service, line);
       transcript.push_back(canonical(response));
-      if (svc::parse_json(response).find("committed")->as_bool()) {
+      if (support::parse_json(response).find("committed")->as_bool()) {
         admitted.push_back(name);
       }
       continue;
@@ -213,7 +213,7 @@ TEST(SvcConcurrency, ParallelClientsOnOneSharedCore) {
           << c << "\",\"exec\":200,\"copy_in\":40,\"copy_out\":40,"
           << "\"period\":4000,\"deadline\":4000,\"prio\":" << c << "}}";
       const Json response =
-          svc::parse_json(request_sync(service, req.str()));
+          support::parse_json(request_sync(service, req.str()));
       ASSERT_TRUE(response.find("ok")->as_bool());
       if (response.find("committed")->as_bool()) {
         committed.fetch_add(1);
@@ -223,7 +223,7 @@ TEST(SvcConcurrency, ParallelClientsOnOneSharedCore) {
   for (std::thread& t : threads) t.join();
   service.drain();
 
-  const Json final_verdict = svc::parse_json(
+  const Json final_verdict = support::parse_json(
       service.handle_line("{\"op\":\"analyze\",\"core\":\"shared\"}"));
   ASSERT_TRUE(final_verdict.find("ok")->as_bool());
   const Json* verdict = final_verdict.find("verdict");

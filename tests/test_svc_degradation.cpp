@@ -27,12 +27,12 @@
 #include "gen/generator.hpp"
 #include "rt/task.hpp"
 #include "rt/types.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
-#include "svc/json.hpp"
 #include "svc/service.hpp"
 
 using namespace mcs;
-using svc::Json;
+using support::Json;
 
 namespace {
 
@@ -191,7 +191,7 @@ TEST(SvcDegradation, ExplicitZeroBudgetDegradesDeterministically) {
       "{\"op\":\"analyze\",\"core\":\"c\",\"task\":{\"name\":\"a\","
       "\"exec\":300,\"copy_in\":60,\"copy_out\":60,\"period\":2000,"
       "\"deadline\":1700,\"prio\":0},\"budget_ms\":0}");
-  const Json response = svc::parse_json(response_line);
+  const Json response = support::parse_json(response_line);
   ASSERT_TRUE(response.find("ok")->as_bool()) << response_line;
   EXPECT_TRUE(response.find("verdict")->find("degraded")->as_bool());
   EXPECT_FALSE(response.find("verdict")->find("cached")->as_bool());
@@ -205,7 +205,7 @@ TEST(SvcDegradation, DegradedVerdictsAreNeverCached) {
       "\"exec\":300,\"copy_in\":60,\"copy_out\":60,\"period\":2000,"
       "\"deadline\":1700,\"prio\":0},\"budget_ms\":0}";
   for (int i = 0; i < 2; ++i) {
-    const Json response = svc::parse_json(service.handle_line(request));
+    const Json response = support::parse_json(service.handle_line(request));
     ASSERT_TRUE(response.find("ok")->as_bool());
     EXPECT_TRUE(response.find("verdict")->find("degraded")->as_bool());
     EXPECT_FALSE(response.find("verdict")->find("cached")->as_bool())
@@ -223,14 +223,14 @@ TEST(SvcDegradation, DegradedScheduleCommitsAreSound) {
   // is sound.  Verify the committed state re-analyzes schedulable with an
   // unlimited budget.
   svc::AdmissionService service;
-  const Json admit = svc::parse_json(service.handle_line(
+  const Json admit = support::parse_json(service.handle_line(
       "{\"op\":\"admit\",\"core\":\"c\",\"task\":{\"name\":\"a\","
       "\"exec\":100,\"copy_in\":10,\"copy_out\":10,\"period\":5000,"
       "\"deadline\":5000,\"prio\":0},\"budget_ms\":0}"));
   ASSERT_TRUE(admit.find("ok")->as_bool());
   EXPECT_TRUE(admit.find("verdict")->find("degraded")->as_bool());
   if (admit.find("committed")->as_bool()) {
-    const Json exact = svc::parse_json(
+    const Json exact = support::parse_json(
         service.handle_line("{\"op\":\"analyze\",\"core\":\"c\"}"));
     ASSERT_TRUE(exact.find("ok")->as_bool());
     EXPECT_FALSE(exact.find("verdict")->find("degraded")->as_bool());
@@ -242,7 +242,7 @@ TEST(SvcDegradation, DegradedScheduleCommitsAreSound) {
 
 TEST(SvcDegradation, NegativeBudgetIsABadRequest) {
   svc::AdmissionService service;
-  const Json response = svc::parse_json(service.handle_line(
+  const Json response = support::parse_json(service.handle_line(
       "{\"op\":\"analyze\",\"core\":\"c\",\"budget_ms\":-1}"));
   EXPECT_FALSE(response.find("ok")->as_bool());
   EXPECT_EQ(response.find("error")->find("code")->as_string(), "bad_request");
@@ -289,7 +289,7 @@ TEST(SvcDegradation, SheddingAnswersWithRetryAfter) {
   int shed = 0;
   for (auto& future : futures) {
     const std::string line = future.get();  // throws if a callback was lost
-    const Json response = svc::parse_json(line);
+    const Json response = support::parse_json(line);
     if (response.find("ok")->as_bool()) continue;
     const Json* error = response.find("error");
     ASSERT_NE(error, nullptr) << line;

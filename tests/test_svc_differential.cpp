@@ -27,13 +27,13 @@
 #include "analysis/engine.hpp"
 #include "rt/task.hpp"
 #include "rt/types.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "svc/fingerprint.hpp"
-#include "svc/json.hpp"
 #include "svc/service.hpp"
 
 using namespace mcs;
-using svc::Json;
+using support::Json;
 
 namespace {
 
@@ -210,7 +210,7 @@ void fuzz_run(svc::AdmissionService& service, std::uint64_t seed, int ops,
       const std::string response_line = send(
           "{\"op\":\"admit\",\"core\":\"" + core +
           "\",\"task\":" + task_json(t) + "}");
-      const Json response = svc::parse_json(response_line);
+      const Json response = support::parse_json(response_line);
       ASSERT_TRUE(response.find("ok")->as_bool()) << context << "\n"
                                                   << response_line;
       expect_verdict_matches(response, ref, candidate_set,
@@ -225,7 +225,7 @@ void fuzz_run(svc::AdmissionService& service, std::uint64_t seed, int ops,
       const std::string response_line = send(
           "{\"op\":\"remove\",\"core\":\"" + core + "\",\"name\":\"" + name +
           "\"}");
-      const Json response = svc::parse_json(response_line);
+      const Json response = support::parse_json(response_line);
       ASSERT_TRUE(response.find("ok")->as_bool()) << context << "\n"
                                                   << response_line;
       tasks.erase(tasks.begin() + static_cast<std::ptrdiff_t>(victim));
@@ -246,7 +246,7 @@ void fuzz_run(svc::AdmissionService& service, std::uint64_t seed, int ops,
           "{\"op\":\"mark_ls\",\"core\":\"" + core + "\",\"name\":\"" +
           tasks[pick].name + "\",\"ls\":" + (want_ls ? "true" : "false") +
           "}");
-      const Json response = svc::parse_json(response_line);
+      const Json response = support::parse_json(response_line);
       ASSERT_TRUE(response.find("ok")->as_bool()) << context << "\n"
                                                   << response_line;
       expect_verdict_matches(response, ref, candidate_set,
@@ -265,7 +265,7 @@ void fuzz_run(svc::AdmissionService& service, std::uint64_t seed, int ops,
       const std::string response_line = send(
           "{\"op\":\"analyze\",\"core\":\"" + core + "\",\"mode\":\"" +
           mode_name(mode) + "\"}");
-      const Json response = svc::parse_json(response_line);
+      const Json response = support::parse_json(response_line);
       ASSERT_TRUE(response.find("ok")->as_bool()) << context << "\n"
                                                   << response_line;
       expect_verdict_matches(response, ref, set, mode,
@@ -351,28 +351,28 @@ TEST(SvcDifferential, ReanalysisAfterRemoveMatchesFreshEngine) {
       "{\"op\":\"admit\",\"core\":\"c\",\"task\":{\"name\":\"b\",\"exec\":900,"
       "\"copy_in\":350,\"copy_out\":350,\"period\":5000,\"deadline\":5000,"
       "\"prio\":1}}";
-  ASSERT_TRUE(svc::parse_json(service.handle_line(admit_a))
+  ASSERT_TRUE(support::parse_json(service.handle_line(admit_a))
                   .find("ok")->as_bool());
-  ASSERT_TRUE(svc::parse_json(service.handle_line(admit_b))
+  ASSERT_TRUE(support::parse_json(service.handle_line(admit_b))
                   .find("ok")->as_bool());
 
   const std::string first =
       service.handle_line("{\"op\":\"analyze\",\"core\":\"c\"}");
-  ASSERT_TRUE(svc::parse_json(first).find("ok")->as_bool());
+  ASSERT_TRUE(support::parse_json(first).find("ok")->as_bool());
 
-  ASSERT_TRUE(svc::parse_json(service.handle_line(
+  ASSERT_TRUE(support::parse_json(service.handle_line(
                   "{\"op\":\"remove\",\"core\":\"c\",\"name\":\"b\"}"))
                   .find("ok")->as_bool());
-  ASSERT_TRUE(svc::parse_json(
+  ASSERT_TRUE(support::parse_json(
                   service.handle_line("{\"op\":\"analyze\",\"core\":\"c\"}"))
                   .find("ok")->as_bool());
-  ASSERT_TRUE(svc::parse_json(service.handle_line(admit_b))
+  ASSERT_TRUE(support::parse_json(service.handle_line(admit_b))
                   .find("ok")->as_bool());
 
   const std::string again =
       service.handle_line("{\"op\":\"analyze\",\"core\":\"c\"}");
-  const Json first_json = svc::parse_json(first);
-  const Json again_json = svc::parse_json(again);
+  const Json first_json = support::parse_json(first);
+  const Json again_json = support::parse_json(again);
   ASSERT_TRUE(again_json.find("ok")->as_bool());
   // Same membership -> same fingerprint and identical verdict content; only
   // the `cached` flag may differ.

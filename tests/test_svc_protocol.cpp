@@ -8,11 +8,11 @@
 
 #include <string>
 
-#include "svc/json.hpp"
+#include "support/json.hpp"
 #include "svc/service.hpp"
 
 using namespace mcs;
-using svc::Json;
+using support::Json;
 
 namespace {
 
@@ -20,7 +20,7 @@ namespace {
 void expect_error(svc::AdmissionService& service, const std::string& line,
                   const std::string& code) {
   const std::string response_line = service.handle_line(line);
-  const Json response = svc::parse_json(response_line);  // always valid JSON
+  const Json response = support::parse_json(response_line);  // always valid JSON
   const Json* ok = response.find("ok");
   ASSERT_NE(ok, nullptr) << response_line;
   ASSERT_FALSE(ok->as_bool()) << "accepted: " << line;
@@ -50,7 +50,7 @@ TEST(SvcProtocol, TruncatedFramesAreParseErrors) {
   expect_error(service, "\x01\x02\x03", "parse_error");
   // The service stays usable after garbage.
   const Json response =
-      svc::parse_json(service.handle_line("{\"op\":\"status\"}"));
+      support::parse_json(service.handle_line("{\"op\":\"status\"}"));
   EXPECT_TRUE(response.find("ok")->as_bool());
 }
 
@@ -107,7 +107,7 @@ TEST(SvcProtocol, NumericEdgeCasesInTicks) {
 TEST(SvcProtocol, DuplicateTasksAndPriorities) {
   svc::AdmissionService service;
   const Json first =
-      svc::parse_json(service.handle_line(admit_with(kValidTask)));
+      support::parse_json(service.handle_line(admit_with(kValidTask)));
   ASSERT_TRUE(first.find("ok")->as_bool());
   ASSERT_TRUE(first.find("committed")->as_bool());
   // Same name again.
@@ -160,7 +160,7 @@ TEST(SvcProtocol, UnknownTaskOperations) {
                "{\"op\":\"mark_ls\",\"core\":\"c\",\"name\":\"x\"}",
                "bad_request");  // missing ls
   // mark_ls with a non-boolean ls.
-  svc::parse_json(service.handle_line(admit_with(kValidTask)));
+  support::parse_json(service.handle_line(admit_with(kValidTask)));
   expect_error(service,
                "{\"op\":\"mark_ls\",\"core\":\"c\",\"name\":\"a\","
                "\"ls\":\"yes\"}",
@@ -185,25 +185,25 @@ TEST(SvcProtocol, OversizeRequestsAreRejectedBeforeParsing) {
   big += "\"}";
   expect_error(service, big, "request_too_large");
   // A small request still works afterwards.
-  EXPECT_TRUE(svc::parse_json(service.handle_line("{\"op\":\"status\"}"))
+  EXPECT_TRUE(support::parse_json(service.handle_line("{\"op\":\"status\"}"))
                   .find("ok")->as_bool());
 }
 
 TEST(SvcProtocol, IdIsEchoedOnSuccessAndError) {
   svc::AdmissionService service;
-  const Json success = svc::parse_json(
+  const Json success = support::parse_json(
       service.handle_line("{\"id\":7,\"op\":\"status\"}"));
   ASSERT_NE(success.find("id"), nullptr);
   EXPECT_EQ(success.find("id")->as_int64(), 7);
 
-  const Json error = svc::parse_json(
+  const Json error = support::parse_json(
       service.handle_line("{\"id\":\"req-9\",\"op\":\"frobnicate\"}"));
   ASSERT_NE(error.find("id"), nullptr);
   EXPECT_EQ(error.find("id")->as_string(), "req-9");
 
   // No id in the request -> no id key in the response.
   const Json anonymous =
-      svc::parse_json(service.handle_line("{\"op\":\"status\"}"));
+      support::parse_json(service.handle_line("{\"op\":\"status\"}"));
   EXPECT_EQ(anonymous.find("id"), nullptr);
 }
 
@@ -219,7 +219,7 @@ TEST(SvcProtocol, BadBudgetTypes) {
 
 TEST(SvcProtocol, ErrorsNeverMutateState) {
   svc::AdmissionService service;
-  ASSERT_TRUE(svc::parse_json(service.handle_line(admit_with(kValidTask)))
+  ASSERT_TRUE(support::parse_json(service.handle_line(admit_with(kValidTask)))
                   .find("ok")->as_bool());
   // A burst of malformed requests...
   expect_error(service, admit_with(kValidTask), "duplicate_task");
@@ -227,7 +227,7 @@ TEST(SvcProtocol, ErrorsNeverMutateState) {
                "unknown_task");
   expect_error(service, "{\"op\":\"anal", "parse_error");
   // ...leaves the admitted membership untouched.
-  const Json verdict = svc::parse_json(
+  const Json verdict = support::parse_json(
       service.handle_line("{\"op\":\"analyze\",\"core\":\"c\"}"));
   ASSERT_TRUE(verdict.find("ok")->as_bool());
   EXPECT_EQ(verdict.find("verdict")->find("tasks")->as_array().size(), 1u);

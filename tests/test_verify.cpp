@@ -223,6 +223,9 @@ TEST(Verify, TightenedBoundsTripAnalysisSoundness) {
   ASSERT_FALSE(result.report.clean());
   EXPECT_TRUE(result.report.has_rule("MCS-V008"))
       << render_all(result.report);
+  // The exhaustive WCRT includes the violating completion, so it exceeds
+  // the bound it broke.
+  EXPECT_GT(result.exact_wcrt[1], options.analysis_bounds[1]);
   ASSERT_TRUE(result.counterexample.has_value());
   EXPECT_FALSE(result.counterexample->releases.empty());
   // The replayed counterexample is a genuine protocol execution: the

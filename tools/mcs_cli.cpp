@@ -53,9 +53,9 @@
 #include "sim/gantt.hpp"
 #include "sim/job_source.hpp"
 #include "sim/metrics.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/telemetry.hpp"
-#include "svc/json.hpp"
 #include "svc/request_log.hpp"
 #include "svc/service.hpp"
 
@@ -379,10 +379,10 @@ class LineSocket {
 
 bool response_ok(const std::string& response) {
   try {
-    const svc::Json parsed = svc::parse_json(response);
-    const svc::Json* ok = parsed.find("ok");
+    const support::Json parsed = support::parse_json(response);
+    const support::Json* ok = parsed.find("ok");
     return ok != nullptr && ok->is_bool() && ok->as_bool();
-  } catch (const svc::JsonError&) {
+  } catch (const support::JsonError&) {
     return false;
   }
 }
@@ -409,17 +409,17 @@ int cmd_verify_log(const std::string& path) {
       ++restarts;
     }
     last_seq = rec.seq;
-    svc::Json logged;
+    support::Json logged;
     try {
-      logged = svc::parse_json(rec.response);
-    } catch (const svc::JsonError& e) {
+      logged = support::parse_json(rec.response);
+    } catch (const support::JsonError& e) {
       std::cerr << "verify-log: unparseable logged response at seq "
                 << rec.seq << ": " << e.what() << "\n";
       return 1;
     }
-    const svc::Json* err = logged.find("error");
+    const support::Json* err = logged.find("error");
     if (err != nullptr) {
-      const svc::Json* code = err->find("code");
+      const support::Json* code = err->find("code");
       if (code != nullptr && code->is_string() &&
           code->as_string() == "overloaded") {
         ++skipped;  // shedding depends on live queue depth
@@ -427,25 +427,25 @@ int cmd_verify_log(const std::string& path) {
       }
     }
     const std::string fresh_text = service->handle_line(rec.request);
-    const svc::Json fresh = svc::parse_json(fresh_text);
-    const svc::Json* logged_ok = logged.find("ok");
-    const svc::Json* fresh_ok = fresh.find("ok");
+    const support::Json fresh = support::parse_json(fresh_text);
+    const support::Json* logged_ok = logged.find("ok");
+    const support::Json* fresh_ok = fresh.find("ok");
     if (logged_ok == nullptr || fresh_ok == nullptr ||
         logged_ok->as_bool() != fresh_ok->as_bool()) {
       std::cerr << "verify-log: ok mismatch at seq " << rec.seq << "\n  log: "
                 << rec.response << "\n  now: " << fresh_text << "\n";
       return 1;
     }
-    const svc::Json* logged_v = logged.find("verdict");
-    const svc::Json* fresh_v = fresh.find("verdict");
+    const support::Json* logged_v = logged.find("verdict");
+    const support::Json* fresh_v = fresh.find("verdict");
     if (logged_v != nullptr && fresh_v != nullptr) {
-      const auto degraded = [](const svc::Json& v) {
-        const svc::Json* d = v.find("degraded");
+      const auto degraded = [](const support::Json& v) {
+        const support::Json* d = v.find("degraded");
         return d != nullptr && d->is_bool() && d->as_bool();
       };
       if (!degraded(*logged_v) && !degraded(*fresh_v)) {
-        const auto field_text = [](const svc::Json& v, const char* key) {
-          const svc::Json* f = v.find(key);
+        const auto field_text = [](const support::Json& v, const char* key) {
+          const support::Json* f = v.find(key);
           return f == nullptr ? std::string("<absent>") : f->dump();
         };
         for (const char* key : {"schedulable", "fingerprint", "tasks"}) {

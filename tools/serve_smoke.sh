@@ -3,9 +3,10 @@
 #
 # Starts mcs_serve on a Unix socket with a JSONL request log, replays a
 # scripted admission session through mcs_cli admit, SIGKILLs the server
-# mid-stream, restarts it on the same log, finishes the session, and then
-# requires (a) the log tail to parse — at worst one torn line, which the
-# reader drops — and (b) every logged non-degraded verdict to re-derive
+# mid-stream, tears the log's last line the way a kill mid-write would,
+# restarts the server on the same log, finishes the session, and then
+# requires (a) the whole log to parse — the restart cut the torn line off
+# before appending — and (b) every logged non-degraded verdict to re-derive
 # identically under `mcs_cli admit --verify-log`.  The service-layer
 # counterpart of tools/resume_smoke.sh.
 #
@@ -64,6 +65,8 @@ kill -9 "$server_pid"
 wait "$streamer" 2>/dev/null || true
 wait "$server_pid" 2>/dev/null || true
 echo "killed server pid $server_pid"
+# A kill mid-write leaves an unterminated fragment; make sure there is one.
+printf '%s' '{"seq":99,"request":"{\"op' >> "$LOG"
 
 echo "== restart on the same log =="
 start_server
