@@ -5,7 +5,7 @@
 //   * alpha-first branch priority        vs. plain most-fractional,
 //   * the relative-gap termination (2%)  vs. proving optimality,
 //   * warm-started node relaxations      vs. cold per-node solves,
-//   * presolve + node propagation        vs. solving the model as built,
+//   * root presolve                      vs. solving the model as built,
 //   * the sparse revised-simplex kernel  vs. the dense tableau reference,
 // reporting nodes, LP iterations, simplex pivots, pivot throughput,
 // refactorization stats, wall time, and bound quality.  Besides the human-readable table the bench writes
@@ -52,8 +52,6 @@ struct Tally {
   std::uint64_t warm_fallbacks = 0;
   std::uint64_t presolve_rows_removed = 0;
   std::uint64_t presolve_cols_removed = 0;
-  std::uint64_t presolve_node_fixings = 0;
-  std::uint64_t presolve_node_prunes = 0;
   std::uint64_t refactorizations = 0;
   std::uint64_t eta_nnz = 0;
   std::uint64_t bound_flips = 0;
@@ -162,8 +160,6 @@ int tool_ablation_solver_main() {
     tally.warm_fallbacks = counter(snap, "milp.warm_start_fallbacks");
     tally.presolve_rows_removed = counter(snap, "lp.presolve.rows_removed");
     tally.presolve_cols_removed = counter(snap, "lp.presolve.cols_removed");
-    tally.presolve_node_fixings = counter(snap, "lp.presolve.node_fixings");
-    tally.presolve_node_prunes = counter(snap, "lp.presolve.node_prunes");
     tally.refactorizations = counter(snap, "simplex.refactorizations");
     tally.eta_nnz = counter(snap, "simplex.eta_nnz");
     tally.bound_flips = counter(snap, "simplex.bound_flips");
@@ -299,8 +295,6 @@ int tool_ablation_solver_main() {
          << ", \"fixed_cols_skipped\": " << t.fixed_cols_skipped
          << ", \"presolve_rows_removed\": " << t.presolve_rows_removed
          << ", \"presolve_cols_removed\": " << t.presolve_cols_removed
-         << ", \"presolve_node_fixings\": " << t.presolve_node_fixings
-         << ", \"presolve_node_prunes\": " << t.presolve_node_prunes
          << ", \"wall_ms\": " << std::setprecision(1)
          << t.seconds * 1000.0 << ", \"mean_bound\": "
          << std::setprecision(6)

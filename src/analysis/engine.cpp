@@ -86,8 +86,8 @@ void audit_formulation(const DelayMilp& milp, const rt::TaskSet& tasks,
   }
 }
 
-/// Debug audit hook: every incumbent a MILP session returns has travelled
-/// through presolve, node-level propagation, and postsolve — re-verify it
+/// Debug audit hook: every incumbent a MILP solve returns has travelled
+/// through presolve, branch & bound and postsolve — re-verify it
 /// against the pristine formulation model (MCS-F303/F304).  Folds to
 /// nothing when MCS_CHECK_LEVEL compiles to 0.
 void audit_incumbent(const lp::Model& model, const lp::MilpResult& res,
@@ -164,16 +164,13 @@ rt::TaskSet scaled(const rt::TaskSet& tasks, ScalingDimension dimension,
 
 }  // namespace
 
-/// One cached delay-MILP formulation: the patchable model, its reusable
-/// branch & bound session, and the incumbent carried between solves.
-/// `session` references `milp.model`, so it is always reset before the
-/// model is replaced (and member order guarantees it dies first).
+/// One cached delay-MILP formulation: the patchable model and the
+/// incumbent carried between solves.
 struct FormulationEntry {
   bool valid = false;
   std::size_t num_intervals = 0;
   std::uint64_t ls_marking = 0;  ///< marking at the last build/patch
   DelayMilp milp;
-  std::unique_ptr<lp::MilpSolver> session;
   std::vector<double> incumbent;  ///< last solve's values (may be empty)
 };
 
@@ -204,8 +201,6 @@ struct AnalysisEngine::Impl {
     std::vector<TaskSig> fresh = fingerprint_of(tasks);
     if (fresh == sig) return;
     sig = std::move(fresh);
-    // clear() before resize(): entries must be destroyed, not moved — a
-    // live MilpSolver session references its sibling model's address.
     cache.clear();
     cache.resize(sig.size());
   }
@@ -254,8 +249,7 @@ DelayBound AnalysisEngine::Impl::solve_delay(const rt::TaskSet& tasks,
   if (hit) {
     // The window length (budget RHS) and — for patchable formulations —
     // the LS marking (admission bounds, cancellation RHS) are the only
-    // moving parts; patch them in place.  The MilpSolver session then
-    // syncs exactly the changed data into its retained tableaus.
+    // moving parts; patch them in place.
     update_delay_milp(e.milp, tasks, i, t, options.ignore_ls);
     telemetry::count("analysis.milp_cache_hits");
     telemetry::count("analysis.engine.formulation_patches");
@@ -263,7 +257,6 @@ DelayBound AnalysisEngine::Impl::solve_delay(const rt::TaskSet& tasks,
       telemetry::count("analysis.engine.ls_delta_patches");
     }
   } else {
-    e.session.reset();  // references the model about to be replaced
     e.milp = build_delay_milp(tasks, i, t, fcase, options.ignore_ls,
                               /*patchable_ls=*/!options.ignore_ls);
     e.valid = true;
@@ -312,10 +305,7 @@ DelayBound AnalysisEngine::Impl::solve_delay(const rt::TaskSet& tasks,
   if (hit) {
     milp_options.start_values = e.incumbent;
   }
-  if (e.session == nullptr) {
-    e.session = std::make_unique<lp::MilpSolver>(e.milp.model);
-  }
-  const lp::MilpResult res = e.session->solve(milp_options);
+  const lp::MilpResult res = lp::solve_milp(e.milp.model, milp_options);
   audit_incumbent(e.milp.model, res, tasks, i, t);
   if (res.has_incumbent) {
     e.incumbent = res.values;

@@ -5,29 +5,32 @@
 // LS-marking loop re-analyzes the task set after every promotion, and the
 // evaluation sweeps (§VII) analyze each task set three ways.  The free
 // functions in response_time.hpp / greedy.hpp / schedulability.hpp throw
-// all solver state away between calls; an AnalysisEngine instead carries it
-// across calls for as long as the task-set *parameters* (everything except
-// the LS flags) stay the same:
+// all analysis state away between calls; an AnalysisEngine instead carries
+// it across calls for as long as the task-set *parameters* (everything
+// except the LS flags) stay the same:
 //
 //  * a per-(task, formulation case) DelayMilp cache whose models are built
 //    marking-agnostically (build_delay_milp patchable_ls) so they survive
 //    greedy LS-promotion rounds as bound/rhs patches instead of rebuilds;
-//  * one reusable lp::MilpSolver session per cached formulation, keeping
-//    the clamped root model and simplex tableaus alive across solves;
 //  * carried incumbents, so each branch & bound starts pruning from the
 //    previous round's solution;
 //  * memoized NPS bounds.
+//
+// No solver state is carried: each delay MILP is solved from scratch by
+// lp::solve_milp on the cached, patched model.  Presolve reshapes the
+// reduced model almost every round, so a retained solver would rarely be
+// reusable.
 //
 // An engine is serial: every pass bounds its tasks one after another on
 // this engine's caches.  Greedy rounds stop at the first deadline miss
 // (paper §VI).
 //
-// Determinism: the MilpSolver session guarantees each solve is
-// bit-identical to a fresh solve of the same patched model.  Results are
-// independent of the state the engine carried in, but only at
-// relative_gap = 0, where every MILP is solved to proven optimality.  At a
-// nonzero gap a carried incumbent can change where branch & bound stops,
-// so a bound can differ from a fresh engine's by up to the gap.
+// Determinism: each solve depends only on the patched model, the options
+// and the carried incumbent.  Results are independent of the state the
+// engine carried in, but only at relative_gap = 0, where every MILP is
+// solved to proven optimality.  At a nonzero gap a carried incumbent can
+// change where branch & bound stops, so a bound can differ from a fresh
+// engine's by up to the gap.
 //
 // The legacy free functions remain as thin wrappers that construct a
 // throwaway engine, so existing call sites and tests are unaffected.

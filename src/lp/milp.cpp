@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <utility>
 
 #include "lp/presolve.hpp"
 #include "support/contracts.hpp"
@@ -71,24 +72,17 @@ class BranchAndBound {
   explicit BranchAndBound(const Model& model)
       : base_(model),
         maximize_(model.objective_sense() == Sense::kMaximize) {
-    int_k_of_.assign(model.num_variables(), npos);
     for (std::size_t i = 0; i < model.num_variables(); ++i) {
-      const Variable& v = model.variables()[i];
-      if (v.type != VarType::kContinuous) {
-        int_k_of_[i] = int_vars_.size();
+      if (model.variables()[i].type != VarType::kContinuous) {
         int_vars_.push_back(i);
       }
     }
   }
 
-  /// One branch & bound search under `options`.  Reusable: a later call
-  /// resyncs patched model bounds / right-hand sides into the retained
-  /// solvers and searches again, bit-identically to a fresh instance.
+  /// The branch & bound search under `options`.  One search per instance.
   MilpResult run(const MilpOptions& options);
 
   std::size_t bound_deltas_applied() const noexcept { return deltas_; }
-  std::size_t node_fixings() const noexcept { return node_fixings_; }
-  std::size_t node_prunes() const noexcept { return node_prunes_; }
   std::size_t warm_solves() const noexcept {
     return solver_stat(&SimplexStats::warm_solves);
   }
@@ -97,11 +91,10 @@ class BranchAndBound {
   }
 
  private:
-  /// (Re)establishes the session: clamped root bounds from the current
-  /// model state, root model copy, and the two retained simplex solvers,
-  /// all synced to the model's present bounds and right-hand sides.
-  /// Returns false when a clamped integral domain is empty (infeasible).
-  bool sync_session();
+  /// Sets up the root: clamped integral bounds, the clamped model copy,
+  /// and the two simplex solvers over it.  Returns false when a clamped
+  /// integral domain is empty (infeasible).
+  bool setup_root();
   bool better(double a, double b) const {
     return maximize_ ? a > b : a < b;
   }
@@ -279,44 +272,18 @@ class BranchAndBound {
     }
   }
 
-  /// A packing/cardinality row: unit coefficients over 0/1 integral
-  /// columns, <= or == a (patchable) right-hand side.  The delay MILPs are
-  /// dominated by these (one-exec cardinality rows, interference budgets),
-  /// and under branching they propagate: once the lower bounds of a row
-  /// reach its rhs, every remaining column is forced to its lower bound.
-  struct PackRow {
-    std::vector<std::size_t> ks;  ///< members, as indices into int_vars_
-    std::size_t row = 0;          ///< constraint index (rhs read live)
-    bool eq = false;
-  };
-
-  /// Detects packing rows once per session (structure is immutable).
-  void collect_pack_rows();
-
   /// Creates a child node delta `(branch_k -> [lo, hi])` under
-  /// `parent_delta`, propagating packing-row implications to a fixpoint
-  /// when presolve is enabled.  Extra fixings become chained deltas; the
-  /// returned index is the chain tail.  Returns npos when propagation
-  /// proves the child infeasible (no LP solve needed).
-  std::size_t make_child(std::size_t parent_delta,
-                         const IntBounds& parent_bounds, std::size_t branch_k,
-                         double lo, double hi);
+  /// `parent_delta` and returns its index.
+  std::size_t make_child(std::size_t parent_delta, std::size_t branch_k,
+                         double lo, double hi) {
+    arena_.push_back(NodeDelta{parent_delta, branch_k, lo, hi});
+    return arena_.size() - 1;
+  }
 
   const Model& base_;
   MilpOptions opt_;
   bool maximize_;
   std::vector<std::size_t> int_vars_;
-  std::vector<std::size_t> int_k_of_;  ///< var index -> index in int_vars_
-
-  std::vector<PackRow> pack_rows_;
-  std::vector<std::vector<std::size_t>> var_packs_;  ///< int k -> pack rows
-  bool pack_rows_collected_ = false;
-  IntBounds prop_bounds_;  ///< scratch: candidate child bounds
-  std::vector<std::pair<std::size_t, double>> prop_fixed_;
-  std::vector<std::size_t> prop_queue_;
-  std::vector<char> prop_in_queue_;
-  std::size_t node_fixings_ = 0;
-  std::size_t node_prunes_ = 0;
 
   IntBounds root_bounds_;
   Model root_model_;  ///< base_ with integral domains clamped finite
@@ -330,183 +297,31 @@ class BranchAndBound {
   std::size_t deltas_ = 0;
 };
 
-bool BranchAndBound::sync_session() {
-  // Clamped integral domains from the model's *current* bounds.  Integral
-  // variables need finite branching ranges; clamp huge domains (safe for
-  // the objective once the relaxation is known to be bounded; argmax
-  // components beyond 1e9 are out of scope).
-  IntBounds fresh;
-  fresh.reserve(int_vars_.size());
+bool BranchAndBound::setup_root() {
+  // Integral variables need finite branching ranges; clamp huge domains
+  // (safe for the objective once the relaxation is known to be bounded;
+  // argmax components beyond 1e9 are out of scope).
+  root_bounds_.reserve(int_vars_.size());
   for (const std::size_t v : int_vars_) {
     const Variable& mv = base_.variables()[v];
     const double lo = std::isfinite(mv.lower) ? std::ceil(mv.lower) : -1e9;
     const double hi = std::isfinite(mv.upper) ? std::floor(mv.upper) : 1e9;
     if (lo > hi) return false;
-    fresh.emplace_back(lo, hi);
+    root_bounds_.emplace_back(lo, hi);
   }
-
-  if (main_ == nullptr) {
-    root_bounds_ = std::move(fresh);
-    root_model_ = base_;
-    for (std::size_t k = 0; k < int_vars_.size(); ++k) {
-      // Clamping in the model (not just the solver) gives every integral
-      // variable a finite lower bound, which is what makes its simplex
-      // column warm-boundable (single shifted column).
-      root_model_.set_bounds(VarId{int_vars_[k]}, root_bounds_[k].first,
-                             root_bounds_[k].second);
-    }
-    main_ = std::make_unique<SimplexSolver>(root_model_, opt_.lp);
-    heur_ = std::make_unique<SimplexSolver>(root_model_, opt_.lp);
-    main_bounds_ = root_bounds_;
-    heur_bounds_ = root_bounds_;
-    arena_.clear();
-    collect_pack_rows();
-    return true;
-  }
-
-  // Session reuse: push exactly the data patched since the last search
-  // into the retained root model and solvers.  Continuous bounds first
-  // (integral ones go through the clamped vector below).
-  for (std::size_t i = 0; i < base_.num_variables(); ++i) {
-    const Variable& bv = base_.variables()[i];
-    const Variable& rv = root_model_.variables()[i];
-    if (bv.type != VarType::kContinuous) continue;
-    if (bv.lower != rv.lower || bv.upper != rv.upper) {
-      root_model_.set_bounds(VarId{i}, bv.lower, bv.upper);
-      main_->set_bounds(VarId{i}, bv.lower, bv.upper);
-      heur_->set_bounds(VarId{i}, bv.lower, bv.upper);
-    }
-  }
+  root_model_ = base_;
   for (std::size_t k = 0; k < int_vars_.size(); ++k) {
-    if (fresh[k] != root_bounds_[k]) {
-      root_bounds_[k] = fresh[k];
-      root_model_.set_bounds(VarId{int_vars_[k]}, fresh[k].first,
-                             fresh[k].second);
-    }
+    // Clamping in the model (not just the solver) gives every integral
+    // variable a finite lower bound, which is what makes its simplex
+    // column warm-boundable (single shifted column).
+    root_model_.set_bounds(VarId{int_vars_[k]}, root_bounds_[k].first,
+                           root_bounds_[k].second);
   }
-  // The previous search left the solvers at arbitrary node bounds; bring
-  // them back to the (possibly patched) root.
-  apply_bounds(*main_, main_bounds_, root_bounds_);
-  apply_bounds(*heur_, heur_bounds_, root_bounds_);
-
-  // Right-hand sides patched via Model::set_rhs since the last search.
-  const auto& patched = base_.constraints();
-  const auto& baked = root_model_.constraints();
-  for (std::size_t r = 0; r < patched.size(); ++r) {
-    if (patched[r].rhs != baked[r].rhs) {
-      root_model_.set_rhs(r, patched[r].rhs);
-      main_->set_rhs(r, patched[r].rhs);
-      heur_->set_rhs(r, patched[r].rhs);
-    }
-  }
-
-  // Bit-identity with a fresh instance: fresh solvers start without a
-  // valid tableau, so the retained ones must forget theirs too.
-  main_->invalidate();
-  heur_->invalidate();
-  arena_.clear();
+  main_ = std::make_unique<SimplexSolver>(root_model_, opt_.lp);
+  heur_ = std::make_unique<SimplexSolver>(root_model_, opt_.lp);
+  main_bounds_ = root_bounds_;
+  heur_bounds_ = root_bounds_;
   return true;
-}
-
-void BranchAndBound::collect_pack_rows() {
-  if (pack_rows_collected_) return;
-  pack_rows_collected_ = true;
-  var_packs_.assign(int_vars_.size(), {});
-  const auto& constraints = root_model_.constraints();
-  for (std::size_t r = 0; r < constraints.size(); ++r) {
-    const Constraint& c = constraints[r];
-    if (c.relation == Relation::kGe || c.lhs.terms().size() < 2) continue;
-    PackRow pr;
-    pr.row = r;
-    pr.eq = c.relation == Relation::kEq;
-    bool ok = true;
-    for (const auto& [v, a] : c.lhs.terms()) {
-      const std::size_t k = int_k_of_[v];
-      if (a != 1.0 || k == npos || root_bounds_[k].first < 0.0 ||
-          root_bounds_[k].second > 1.0) {
-        ok = false;
-        break;
-      }
-      pr.ks.push_back(k);
-    }
-    if (!ok) continue;
-    const std::size_t idx = pack_rows_.size();
-    for (const std::size_t k : pr.ks) {
-      var_packs_[k].push_back(idx);
-    }
-    pack_rows_.push_back(std::move(pr));
-  }
-}
-
-std::size_t BranchAndBound::make_child(std::size_t parent_delta,
-                                       const IntBounds& parent_bounds,
-                                       std::size_t branch_k, double lo,
-                                       double hi) {
-  std::size_t num_fixed = 0;
-  if (opt_.use_presolve && !pack_rows_.empty()) {
-    // Fixpoint over the packing rows touching changed columns.  Bounds and
-    // right-hand sides are small integers, so the tolerance only needs to
-    // absorb summation noise.
-    constexpr double eps = 1e-6;
-    prop_bounds_ = parent_bounds;
-    prop_bounds_[branch_k] = {lo, hi};
-    prop_fixed_.clear();
-    prop_queue_.clear();
-    prop_in_queue_.assign(pack_rows_.size(), 0);
-    const auto enqueue = [&](std::size_t k) {
-      for (const std::size_t pr : var_packs_[k]) {
-        if (!prop_in_queue_[pr]) {
-          prop_in_queue_[pr] = 1;
-          prop_queue_.push_back(pr);
-        }
-      }
-    };
-    enqueue(branch_k);
-    for (std::size_t head = 0; head < prop_queue_.size(); ++head) {
-      const PackRow& p = pack_rows_[prop_queue_[head]];
-      prop_in_queue_[prop_queue_[head]] = 0;
-      double sum_lo = 0.0;
-      double sum_hi = 0.0;
-      for (const std::size_t k : p.ks) {
-        sum_lo += prop_bounds_[k].first;
-        sum_hi += prop_bounds_[k].second;
-      }
-      const double rhs = root_model_.constraints()[p.row].rhs;
-      if (sum_lo > rhs + eps || (p.eq && sum_hi < rhs - eps)) {
-        ++node_prunes_;
-        return npos;  // child infeasible: prune without an LP solve
-      }
-      if (sum_lo >= rhs - eps) {
-        for (const std::size_t k : p.ks) {
-          const auto [klo, khi] = prop_bounds_[k];
-          if (klo < khi) {
-            prop_bounds_[k] = {klo, klo};
-            prop_fixed_.emplace_back(k, klo);
-            enqueue(k);
-          }
-        }
-      } else if (p.eq && sum_hi <= rhs + eps) {
-        for (const std::size_t k : p.ks) {
-          const auto [klo, khi] = prop_bounds_[k];
-          if (klo < khi) {
-            prop_bounds_[k] = {khi, khi};
-            prop_fixed_.emplace_back(k, khi);
-            enqueue(k);
-          }
-        }
-      }
-    }
-    num_fixed = prop_fixed_.size();
-    node_fixings_ += num_fixed;
-  }
-  arena_.push_back(NodeDelta{parent_delta, branch_k, lo, hi});
-  std::size_t tail = arena_.size() - 1;
-  for (std::size_t i = 0; i < num_fixed; ++i) {
-    const auto [k, v] = prop_fixed_[i];
-    arena_.push_back(NodeDelta{tail, k, v, v});
-    tail = arena_.size() - 1;
-  }
-  return tail;
 }
 
 MilpResult BranchAndBound::run(const MilpOptions& options) {
@@ -552,7 +367,7 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
     }
   }
 
-  if (!sync_session()) {
+  if (!setup_root()) {
     result.status = SolveStatus::kInfeasible;
     return result;
   }
@@ -714,16 +529,10 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
     const double floor_x = std::floor(x);
     const double ceil_x = std::ceil(x);
 
-    std::size_t down = npos;
-    std::size_t up = npos;
-    if (floor_x >= lo) {
-      down = make_child(node.delta, node_bounds, branch_k, lo, floor_x);
-      if (down == npos) ++result.nodes_pruned;
-    }
-    if (ceil_x <= hi) {
-      up = make_child(node.delta, node_bounds, branch_k, ceil_x, hi);
-      if (up == npos) ++result.nodes_pruned;
-    }
+    const std::size_t down =
+        floor_x >= lo ? make_child(node.delta, branch_k, lo, floor_x) : npos;
+    const std::size_t up =
+        ceil_x <= hi ? make_child(node.delta, branch_k, ceil_x, hi) : npos;
     // Guided plunge: dive into the child on the side the relaxation value
     // rounds to (the one more likely to stay feasible and near-optimal).
     // The sibling joins the trail for a nearby backtrack, displacing the
@@ -751,7 +560,7 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
   // not exact: its continuous values can still miss a row by a few 1e-6
   // where the row's terms are near 1e6, which repair_incumbent mends after
   // postsolve.
-  if (result.has_incumbent && heur_ != nullptr) {
+  if (result.has_incumbent) {
     IntBounds fixed(int_vars_.size());
     for (std::size_t k = 0; k < int_vars_.size(); ++k) {
       const double v = result.values[int_vars_[k]];
@@ -814,35 +623,6 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
   return result;
 }
 
-/// Structural equality of two presolve outputs: same surviving columns
-/// (types, term vectors, objective — bounds and right-hand sides excluded,
-/// those are patchable in place) and the same original->reduced maps.  When
-/// true, a retained reduced-model session can absorb the new output as
-/// bound/rhs patches instead of being rebuilt.
-bool same_structure(const Model& a, const presolve::PostsolveMap& am,
-                    const Model& b, const presolve::PostsolveMap& bm) {
-  if (am.col_map != bm.col_map || am.row_map != bm.row_map) return false;
-  if (a.num_variables() != b.num_variables() ||
-      a.num_constraints() != b.num_constraints()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.num_variables(); ++i) {
-    if (a.variables()[i].type != b.variables()[i].type) return false;
-  }
-  for (std::size_t r = 0; r < a.num_constraints(); ++r) {
-    const Constraint& ca = a.constraints()[r];
-    const Constraint& cb = b.constraints()[r];
-    if (ca.relation != cb.relation || ca.lhs.terms() != cb.lhs.terms()) {
-      return false;
-    }
-  }
-  // The objective constant carries the fixed columns' contribution and is
-  // baked into the session's root-model copy — any change forces a rebuild.
-  return a.objective_sense() == b.objective_sense() &&
-         a.objective().terms() == b.objective().terms() &&
-         a.objective().constant() == b.objective().constant();
-}
-
 /// Incumbent clean-up in the model's own space.  Every incumbent leaves a
 /// simplex solve whose round-off is bounded in the solver's (scaled)
 /// space, not in the model's: a continuous column squeezed between terms
@@ -903,65 +683,27 @@ void repair_incumbent(const Model& model, double eps,
   }
 }
 
-}  // namespace
-
-struct MilpSolver::Impl {
-  explicit Impl(const Model& model) : base(model) {}
-
-  const Model& base;
-  /// Search engine on the pristine model (options.use_presolve == false).
-  std::unique_ptr<BranchAndBound> direct;
-  /// Presolve session: the reduced model lives behind a stable address so
-  /// the inner BranchAndBound can keep referencing it across solves.
-  std::unique_ptr<Model> reduced;
-  presolve::PostsolveMap map;
-  std::unique_ptr<BranchAndBound> session;
-
-  // Counter snapshots so each solve emits per-run telemetry deltas (the
-  // underlying counters are cumulative over the session).
-  std::size_t deltas_seen = 0;
-  std::size_t warm_seen = 0;
-  std::size_t fallbacks_seen = 0;
-  std::size_t fixings_seen = 0;
-  std::size_t prunes_seen = 0;
-
-  /// Counters absorbed from presolve sessions torn down by a structural
-  /// rebuild.  total() folds these in so the lifetime totals — and with
-  /// them the per-solve deltas against the *_seen snapshots — stay
-  /// monotone across session resets instead of wrapping around.
-  struct Retired {
-    std::size_t deltas = 0;
-    std::size_t warm = 0;
-    std::size_t fallbacks = 0;
-    std::size_t fixings = 0;
-    std::size_t prunes = 0;
-
-    void absorb(const BranchAndBound& bb) {
-      deltas += bb.bound_deltas_applied();
-      warm += bb.warm_solves();
-      fallbacks += bb.warm_fallbacks();
-      fixings += bb.node_fixings();
-      prunes += bb.node_prunes();
-    }
-  };
-  Retired retired;
-
-  std::size_t total(std::size_t (BranchAndBound::*get)() const,
-                    std::size_t retired_part) const {
-    std::size_t sum = retired_part;
-    if (direct) sum += ((*direct).*get)();
-    if (session) sum += ((*session).*get)();
-    return sum;
-  }
-
-  MilpResult solve_with_presolve(const MilpOptions& options);
+/// Per-search counters the telemetry reports for one solve.
+struct SearchCounters {
+  std::size_t deltas = 0;
+  std::size_t warm = 0;
+  std::size_t fallbacks = 0;
 };
 
-MilpResult MilpSolver::Impl::solve_with_presolve(const MilpOptions& options) {
-  namespace telemetry = support::telemetry;
+MilpResult branch_and_bound(const Model& model, const MilpOptions& options,
+                            SearchCounters& counters) {
+  BranchAndBound bb(model);
+  MilpResult result = bb.run(options);
+  counters = {bb.bound_deltas_applied(), bb.warm_solves(),
+              bb.warm_fallbacks()};
+  return result;
+}
+
+MilpResult solve_with_presolve(const Model& base, const MilpOptions& options,
+                               SearchCounters& counters) {
   presolve::Presolved pre;
   {
-    const telemetry::ScopedTimer timer("lp.presolve.run");
+    const support::telemetry::ScopedTimer timer("lp.presolve.run");
     pre = presolve::presolve(base);
   }
   MilpResult result;
@@ -984,97 +726,47 @@ MilpResult MilpSolver::Impl::solve_with_presolve(const MilpOptions& options) {
     return result;
   }
 
-  if (session != nullptr &&
-      same_structure(*reduced, map, pre.reduced, pre.map)) {
-    // Same reduction shape: patch the retained reduced model in place; the
-    // inner session resyncs exactly the changed bounds / right-hand sides.
-    for (std::size_t i = 0; i < reduced->num_variables(); ++i) {
-      const Variable& fresh = pre.reduced.variables()[i];
-      const Variable& held = reduced->variables()[i];
-      if (fresh.lower != held.lower || fresh.upper != held.upper) {
-        reduced->set_bounds(VarId{i}, fresh.lower, fresh.upper);
-      }
-    }
-    for (std::size_t r = 0; r < reduced->num_constraints(); ++r) {
-      if (pre.reduced.constraints()[r].rhs != reduced->constraints()[r].rhs) {
-        reduced->set_rhs(r, pre.reduced.constraints()[r].rhs);
-      }
-    }
-    map = std::move(pre.map);
-    telemetry::count("lp.presolve.session_reuses");
-  } else {
-    if (session) retired.absorb(*session);
-    session.reset();
-    reduced = std::make_unique<Model>(std::move(pre.reduced));
-    map = std::move(pre.map);
-    session = std::make_unique<BranchAndBound>(*reduced);
-    telemetry::count("lp.presolve.session_rebuilds");
-  }
-
   MilpOptions ropt = options;
   if (!options.branch_priority.empty()) {
-    ropt.branch_priority = map.restrict_priorities(options.branch_priority);
+    ropt.branch_priority = pre.map.restrict_priorities(options.branch_priority);
   }
   ropt.start_values.clear();
-  if (options.start_values.size() == map.original_cols) {
+  if (options.start_values.size() == pre.map.original_cols) {
     std::vector<double> restricted;
-    if (map.restrict_primal(options.start_values, options.integrality_tol,
-                            &restricted)) {
+    if (pre.map.restrict_primal(options.start_values, options.integrality_tol,
+                                &restricted)) {
       ropt.start_values = std::move(restricted);
     }
   }
 
-  result = session->run(ropt);
+  result = branch_and_bound(pre.reduced, ropt, counters);
   if (result.has_incumbent) {
-    result.values = map.postsolve_primal(result.values);
+    result.values = pre.map.postsolve_primal(result.values);
   }
   return result;
 }
 
-MilpSolver::MilpSolver(const Model& model)
-    : impl_(std::make_unique<Impl>(model)) {}
+}  // namespace
 
-MilpSolver::~MilpSolver() = default;
-
-MilpResult MilpSolver::solve(const MilpOptions& options) {
+MilpResult solve_milp(const Model& model, const MilpOptions& options) {
   namespace telemetry = support::telemetry;
   const telemetry::ScopedTimer timer("milp.solve");
-  Impl& im = *impl_;
-  MilpResult result;
-  if (options.use_presolve) {
-    result = im.solve_with_presolve(options);
-  } else {
-    if (im.direct == nullptr) {
-      im.direct = std::make_unique<BranchAndBound>(im.base);
-    }
-    result = im.direct->run(options);
-  }
+  SearchCounters counters;
+  MilpResult result = options.use_presolve
+                          ? solve_with_presolve(model, options, counters)
+                          : branch_and_bound(model, options, counters);
   if (result.has_incumbent) {
-    repair_incumbent(im.base, options.lp.feasibility_tol * 10.0,
-                     result.values);
+    repair_incumbent(model, options.lp.feasibility_tol * 10.0, result.values);
   }
-  const std::size_t deltas = im.total(&BranchAndBound::bound_deltas_applied,
-                                      im.retired.deltas);
-  const std::size_t warm =
-      im.total(&BranchAndBound::warm_solves, im.retired.warm);
-  const std::size_t fallbacks =
-      im.total(&BranchAndBound::warm_fallbacks, im.retired.fallbacks);
-  const std::size_t fixings =
-      im.total(&BranchAndBound::node_fixings, im.retired.fixings);
-  const std::size_t prunes =
-      im.total(&BranchAndBound::node_prunes, im.retired.prunes);
   if (telemetry::enabled()) {
     telemetry::count("milp.solves");
     telemetry::count("milp.nodes_explored", result.nodes);
     telemetry::count("milp.nodes_pruned", result.nodes_pruned);
     telemetry::count("milp.lp_iterations", result.lp_iterations);
-    telemetry::count("milp.bound_deltas_applied", deltas - im.deltas_seen);
+    telemetry::count("milp.bound_deltas_applied", counters.deltas);
     telemetry::count("milp.warm_start_hits",
-                     (warm - im.warm_seen) - (fallbacks - im.fallbacks_seen));
-    telemetry::count("milp.warm_start_fallbacks",
-                     fallbacks - im.fallbacks_seen);
-    telemetry::count("lp.presolve.node_fixings", fixings - im.fixings_seen);
-    telemetry::count("lp.presolve.node_prunes", prunes - im.prunes_seen);
+                     counters.warm - counters.fallbacks);
+    telemetry::count("milp.warm_start_fallbacks", counters.fallbacks);
     if (result.gap_terminated) {
       telemetry::count("milp.gap_terminations");
     }
@@ -1082,17 +774,7 @@ MilpResult MilpSolver::solve(const MilpOptions& options) {
       telemetry::count("milp.node_limit_hits");
     }
   }
-  im.deltas_seen = deltas;
-  im.warm_seen = warm;
-  im.fallbacks_seen = fallbacks;
-  im.fixings_seen = fixings;
-  im.prunes_seen = prunes;
   return result;
-}
-
-MilpResult solve_milp(const Model& model, const MilpOptions& options) {
-  MilpSolver session(model);
-  return session.solve(options);
 }
 
 }  // namespace mcs::lp

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "lp/model.hpp"
@@ -42,11 +41,11 @@ struct MilpOptions {
   /// off mainly for differential testing.
   bool use_warm_start = true;
   /// Run the presolve reduction pipeline (lp/presolve.hpp) on the model
-  /// before branch & bound and propagate packing-row implications at node
-  /// creation.  Exact: reductions preserve the MILP optimum, and results
-  /// are postsolved back to the original variable space, so callers see
-  /// the same contract either way.  Off mainly for differential testing
-  /// (tests/test_lp_presolve.cpp compares both paths at gap 0).
+  /// before branch & bound.  Exact: reductions preserve the MILP optimum,
+  /// and results are postsolved back to the original variable space, so
+  /// callers see the same contract either way.  Off mainly for
+  /// differential testing (tests/test_lp_presolve.cpp compares both paths
+  /// at gap 0).
   bool use_presolve = true;
   /// Optional starting incumbent, one value per model variable.  Checked
   /// for bound/constraint feasibility and integrality before adoption;
@@ -83,38 +82,11 @@ struct MilpResult {
 };
 
 /// Solves `model` to optimality (or budget exhaustion).  The model is not
-/// modified.  Deterministic for a fixed model and options.
+/// modified.  Deterministic for a fixed model and options: every call
+/// builds its own presolved model, clamped root copy and simplex tableaus,
+/// so no solver state carries from one call to the next.  Callers that
+/// re-solve a patched model (the analysis engine's formulation cache) carry
+/// only the incumbent, through `start_values`.
 MilpResult solve_milp(const Model& model, const MilpOptions& options = {});
-
-/// Reusable branch & bound session bound to one model.
-///
-/// `solve_milp` pays per call for a clamped copy of the model and two
-/// `SimplexSolver` tableaus; a session keeps all three alive.  Between
-/// solves the caller may patch the bound model in place — variable bounds
-/// via `Model::set_bounds`, right-hand sides via `Model::set_rhs` — and
-/// each `solve()` resyncs exactly the patched data into the retained
-/// solvers before searching.  The variable set, constraint structure,
-/// coefficients, and objective must not change over the session (the
-/// analysis layer's formulation cache guarantees this: a cached delay MILP
-/// is only ever re-targeted through bound/rhs patches).
-///
-/// Determinism: a session `solve()` is bit-identical to a fresh
-/// `solve_milp` on the same model state and options — retained tableaus
-/// are invalidated at entry so the search never depends on where the
-/// previous solve left off.  The simplex options of the *first* solve
-/// configure the retained solvers; later calls reuse them.
-class MilpSolver {
- public:
-  explicit MilpSolver(const Model& model);
-  ~MilpSolver();
-  MilpSolver(const MilpSolver&) = delete;
-  MilpSolver& operator=(const MilpSolver&) = delete;
-
-  MilpResult solve(const MilpOptions& options = {});
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace mcs::lp

@@ -512,9 +512,8 @@ class Reducer {
   /// `rs` / `cs` in *original* row/column index space (dead rows and fixed
   /// columns keep 1).  Every scale is a power of two — snapped via
   /// exp2(round(log2(.))) — so applying it is exact in floating point.
-  /// Integral columns are pinned at 1: their bounds, branching values, and
-  /// pack-row membership (unit coefficients over 0/1 columns, detected by
-  /// the MILP layer on this reduced model) must survive verbatim.
+  /// Integral columns are pinned at 1: their bounds and branching values
+  /// must survive verbatim.
   void compute_scales(std::vector<double>* rs_out,
                       std::vector<double>* cs_out) const {
     std::vector<double>& rs = *rs_out;

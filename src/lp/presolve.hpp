@@ -51,11 +51,10 @@ struct PresolveOptions {
   /// factors are powers of two (exact in floating point, so the scaled
   /// model is a reparametrization, not an approximation) and are carried
   /// in the PostsolveMap; integral columns and their bounds are never
-  /// scaled, so branching, pack-row detection, and integrality are
-  /// untouched.  Mixed-magnitude rows (unit placement coefficients next to
-  /// big-M delay terms) are what the sparse kernel's relative tolerances
-  /// struggle with most; equilibration narrows that spread before the
-  /// first pivot.
+  /// scaled, so branching and integrality are untouched.  Mixed-magnitude
+  /// rows (unit placement coefficients next to big-M delay terms) are what
+  /// the sparse kernel's relative tolerances struggle with most;
+  /// equilibration narrows that spread before the first pivot.
   bool equilibrate = true;
 };
 

@@ -134,8 +134,6 @@ struct DenseKernel final : SimplexSolver::Impl {
 
   // SimplexSolver::Impl interface.
   void set_bounds(std::size_t var, double lower, double upper) override;
-  void set_rhs(std::size_t row, double rhs) override;
-  void invalidate() override { tableau_valid_ = false; }
   bool valid() const override { return tableau_valid_; }
   std::size_t num_rows() const override { return rows_; }
   LpSolution run_cold() override;
@@ -911,18 +909,6 @@ void DenseKernel::set_bounds(std::size_t var, double lower, double upper) {
   }
 }
 
-void DenseKernel::set_rhs(std::size_t row, double rhs) {
-  MCS_REQUIRE(row < rows_, "set_rhs: unknown constraint");
-  MCS_REQUIRE(std::isfinite(rhs), "set_rhs: non-finite right-hand side");
-  if (base_rhs_[row] == rhs) return;
-  base_rhs_[row] = rhs;
-  // The pivoted rhs depends on every base rhs through B^-1; rebuilding it
-  // incrementally would need the row's pivoted column, which is exactly
-  // what a cold reset recomputes anyway.  Invalidate and let the next
-  // solve start cold (solve_warm degrades to solve() on its own).
-  tableau_valid_ = false;
-}
-
 bool DenseKernel::warm_attempt(const Basis* parent, LpSolution& sol) {
   if (parent != nullptr && !parent->empty()) {
     if (same_basis(*parent)) {
@@ -994,12 +980,6 @@ SimplexSolver::~SimplexSolver() = default;
 void SimplexSolver::set_bounds(VarId v, double lower, double upper) {
   impl_->set_bounds(v.index, lower, upper);
 }
-
-void SimplexSolver::set_rhs(std::size_t row, double rhs) {
-  impl_->set_rhs(row, rhs);
-}
-
-void SimplexSolver::invalidate() { impl_->invalidate(); }
 
 namespace {
 

@@ -137,8 +137,6 @@ struct SparseKernel final : SimplexSolver::Impl {
 
   // SimplexSolver::Impl interface.
   void set_bounds(std::size_t var, double lower, double upper) override;
-  void set_rhs(std::size_t row, double rhs) override;
-  void invalidate() override { factor_valid_ = false; }
   bool valid() const override { return factor_valid_; }
   std::size_t num_rows() const override { return rows_; }
   LpSolution run_cold() override;
@@ -980,11 +978,12 @@ LpSolution SparseKernel::run_cold_once() {
 }
 
 /// Authoritative escape hatch for cold solves the eta file cannot certify:
-/// replay the current bound/rhs state into a one-shot dense-tableau kernel
-/// and return its answer.  The factorization is dropped so the next solve
-/// starts cold (the facade's warm path degrades gracefully on an empty
-/// snapshot).
+/// replay the current bounds into a one-shot dense-tableau kernel over the
+/// same model (right-hand sides are the model's own) and return its
+/// answer.  The factorization is dropped so the next solve starts cold
+/// (the facade's warm path degrades gracefully on an empty snapshot).
 LpSolution SparseKernel::dense_fallback_cold() {
+  support::telemetry::count("simplex.dense_fallbacks");
   SimplexOptions dense_opt = opt_;
   dense_opt.kernel = SimplexKernel::kDense;
   auto dense = make_dense_kernel(model_, dense_opt);
@@ -995,9 +994,6 @@ LpSolution SparseKernel::dense_fallback_cold() {
     dense->set_bounds(v, col_map_[c].offset,
                       std::isfinite(upper_[c]) ? col_map_[c].offset + upper_[c]
                                                : kInfinity);
-  }
-  for (std::size_t r = 0; r < rows_; ++r) {
-    dense->set_rhs(r, base_rhs_[r]);
   }
   LpSolution sol = dense->run_cold();
   factor_valid_ = false;
@@ -1181,17 +1177,6 @@ void SparseKernel::set_bounds(std::size_t var, double lower, double upper) {
     // kernel nothing pivoted needs touching here.
     mat_.axpy_column(c, -d_off, eff_rhs_.data());
   }
-}
-
-void SparseKernel::set_rhs(std::size_t row, double rhs) {
-  MCS_REQUIRE(row < rows_, "set_rhs: unknown constraint");
-  MCS_REQUIRE(std::isfinite(rhs), "set_rhs: non-finite right-hand side");
-  if (base_rhs_[row] == rhs) return;
-  eff_rhs_[row] += rhs - base_rhs_[row];
-  base_rhs_[row] = rhs;
-  // Match the dense kernel's session semantics bit for bit: an rhs patch
-  // always forces the next solve cold.
-  factor_valid_ = false;
 }
 
 bool SparseKernel::warm_attempt(const Basis* parent, LpSolution& sol) {

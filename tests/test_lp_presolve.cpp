@@ -4,7 +4,7 @@
 // presolve-reduced problem and postsolving the incumbent must be
 // certificate-identical (status, objective, best bound, feasibility in
 // the pristine model) to solving the original directly — at gap 0, under
-// warm starts, and across a session's greedy-round patch chain.  The unit
+// warm starts, and across a greedy-round patch chain.  The unit
 // tests pin each reduction's mechanics; the differential tests sweep
 // randomized delay MILPs and the committed workload corpus.
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "rt/io.hpp"
 #include "rt/task.hpp"
 #include "support/rng.hpp"
-#include "support/telemetry.hpp"
 
 namespace {
 
@@ -36,7 +35,6 @@ using mcs::lp::kInfinity;
 using mcs::lp::LinExpr;
 using mcs::lp::MilpOptions;
 using mcs::lp::MilpResult;
-using mcs::lp::MilpSolver;
 using mcs::lp::Model;
 using mcs::lp::Relation;
 using mcs::lp::Sense;
@@ -451,10 +449,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PresolveDifferential,
                          ::testing::Range<std::uint64_t>(0, 10));
 
 TEST(PresolveSession, GreedyRoundPatchChainStaysExact) {
-  // Mimic the engine's cache hit path: one patchable formulation, a
-  // MilpSolver session, and LS-marking flips applied through
-  // update_delay_milp between solves.  Every session solve must match a
-  // fresh presolve-off solve of the current model state.
+  // Mimic the engine's cache hit path: one patchable formulation, LS-marking
+  // flips applied through update_delay_milp between solves, and the
+  // previous round's incumbent carried in.  Every presolved solve of the
+  // patched model must match a presolve-off solve of the same state.
   Rng rng(0xC0FFEE);
   mcs::gen::GeneratorConfig cfg;
   cfg.num_tasks = 4;
@@ -465,7 +463,6 @@ TEST(PresolveSession, GreedyRoundPatchChainStaysExact) {
   DelayMilp milp = build_delay_milp(tasks, i, t, FormulationCase::kNls,
                                     /*ignore_ls=*/false, /*patchable=*/true);
 
-  MilpSolver session(milp.model);
   MilpOptions opt;
   opt.max_nodes = 50000;
   opt.branch_priority.assign(milp.model.num_variables(), 0);
@@ -482,7 +479,7 @@ TEST(PresolveSession, GreedyRoundPatchChainStaysExact) {
     update_delay_milp(milp, tasks, i, t, /*ignore_ls=*/false);
 
     opt.use_presolve = true;
-    const MilpResult patched = session.solve(opt);
+    const MilpResult patched = solve_milp(milp.model, opt);
 
     MilpOptions fresh = opt;
     fresh.use_presolve = false;
@@ -497,57 +494,6 @@ TEST(PresolveSession, GreedyRoundPatchChainStaysExact) {
     EXPECT_TRUE(milp.model.is_feasible(patched.values, 1e-6)) << label;
     opt.start_values = patched.values;  // carry like the engine does
   }
-}
-
-TEST(PresolveSession, RebuildKeepsTelemetryDeltasMonotone) {
-  // Regression: a structural rebuild (session.reset()) zeroes the inner
-  // BranchAndBound counters, but the per-solve snapshots used to keep the
-  // pre-reset totals, so the next solve's deltas wrapped around
-  // std::size_t and telemetry reported ~2^64 warm-start hits and node
-  // fixings.  Drive a patch chain whose LS flips force rebuilds and check
-  // every per-solve counter stays sane.
-  namespace telemetry = mcs::support::telemetry;
-  telemetry::set_enabled(true);
-  telemetry::reset();
-
-  Rng rng(0xC0FFEE);
-  mcs::gen::GeneratorConfig cfg;
-  cfg.num_tasks = 4;
-  cfg.utilization = 0.4;
-  TaskSet tasks = mcs::gen::generate_task_set(cfg, rng);
-  const TaskIndex i = static_cast<TaskIndex>(tasks.size() - 1);
-  const Time t = tasks[i].period / 2;
-  DelayMilp milp = build_delay_milp(tasks, i, t, FormulationCase::kNls,
-                                    /*ignore_ls=*/false, /*patchable=*/true);
-
-  MilpSolver session(milp.model);
-  MilpOptions opt;
-  opt.max_nodes = 50000;
-  opt.use_presolve = true;
-  for (int round = 0; round < 4; ++round) {
-    const std::size_t flip =
-        static_cast<std::size_t>(rng.uniform_int(0,
-            static_cast<std::int64_t>(tasks.size()) - 1));
-    tasks[flip].latency_sensitive = !tasks[flip].latency_sensitive;
-    update_delay_milp(milp, tasks, i, t, /*ignore_ls=*/false);
-    (void)session.solve(opt);
-  }
-
-  const auto snap = telemetry::snapshot();
-  ASSERT_NE(snap.counters.count("lp.presolve.session_rebuilds"), 0u);
-  // An underflowed delta lands near 2^64; every real per-solve count in a
-  // four-round chain over a 4-task model is tiny by comparison.
-  constexpr std::uint64_t kSane = std::uint64_t{1} << 40;
-  for (const char* key :
-       {"milp.warm_start_hits", "milp.warm_start_fallbacks",
-        "milp.bound_deltas_applied", "lp.presolve.node_fixings",
-        "lp.presolve.node_prunes"}) {
-    const auto it = snap.counters.find(key);
-    if (it != snap.counters.end()) {
-      EXPECT_LT(it->second, kSane) << key;
-    }
-  }
-  telemetry::reset();
 }
 
 TEST(PresolveCorpus, CommittedWorkloadFormulationsReduceAndStayExact) {
@@ -590,7 +536,7 @@ TEST(PresolveCorpus, CommittedWorkloadFormulationsReduceAndStayExact) {
 // tau5 over a window of 92204) whose polished incumbent carried simplex
 // round-off: Delta_3 = 1097229.000004 and Delta_6 = 291327.0000037,
 // each a few 1e-6 past the exact bound its delta_cpu row sets once the
-// integral columns are fixed.  The incumbent MilpSolver returns must be
+// integral columns are fixed.  The incumbent solve_milp returns must be
 // feasible in the pristine model at the tolerance it applies to start
 // values, and pass the postsolve audit (MCS-F303/F304) that Debug builds
 // run on every incumbent.

@@ -8,7 +8,7 @@
 // through the classic degeneracy traps (Beale's cycling example, the
 // Klee–Minty cube, equal-bounds-saturated models); the differential
 // section sweeps randomized delay MILPs, warm-started re-solves, a
-// session's patch chain, and the committed workload corpus, mirroring
+// greedy-round patch chain, and the committed workload corpus, mirroring
 // test_lp_presolve.cpp.
 //
 // What is deliberately NOT asserted: cross-kernel identity of pivot
@@ -42,7 +42,6 @@ using mcs::lp::LinExpr;
 using mcs::lp::LpSolution;
 using mcs::lp::MilpOptions;
 using mcs::lp::MilpResult;
-using mcs::lp::MilpSolver;
 using mcs::lp::Model;
 using mcs::lp::Relation;
 using mcs::lp::Sense;
@@ -292,11 +291,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SparseKernelDifferential,
                          ::testing::Range<std::uint64_t>(0, 10));
 
 TEST(SparseKernelSession, GreedyRoundPatchChainMatchesDenseFreshSolves) {
-  // The engine's cache-hit path: one patchable formulation, a sparse-kernel
-  // MilpSolver session, LS-marking flips applied through update_delay_milp
-  // between solves.  Every session solve must match a fresh dense-kernel
-  // solve of the current model state — the strongest cross-kernel claim the
-  // warm-restart machinery has to honor.
+  // The engine's cache-hit path: one patchable formulation, LS-marking
+  // flips applied through update_delay_milp between solves, and the
+  // previous round's incumbent carried in.  Every sparse-kernel solve of
+  // the patched model must match a dense-kernel solve without the carried
+  // incumbent — the strongest cross-kernel claim the warm-restart
+  // machinery has to honor.
   Rng rng(0xC0FFEE);
   mcs::gen::GeneratorConfig cfg;
   cfg.num_tasks = 4;
@@ -307,7 +307,6 @@ TEST(SparseKernelSession, GreedyRoundPatchChainMatchesDenseFreshSolves) {
   DelayMilp milp = build_delay_milp(tasks, i, t, FormulationCase::kNls,
                                     /*ignore_ls=*/false, /*patchable=*/true);
 
-  MilpSolver session(milp.model);
   MilpOptions opt;
   opt.max_nodes = 50000;
   opt.relative_gap = 0.0;
@@ -323,7 +322,7 @@ TEST(SparseKernelSession, GreedyRoundPatchChainMatchesDenseFreshSolves) {
     tasks[flip].latency_sensitive = !tasks[flip].latency_sensitive;
     update_delay_milp(milp, tasks, i, t, /*ignore_ls=*/false);
 
-    const MilpResult patched = session.solve(opt);
+    const MilpResult patched = solve_milp(milp.model, opt);
 
     MilpOptions fresh = opt;
     fresh.lp.kernel = SimplexKernel::kDense;

@@ -22,7 +22,9 @@
 // Every command additionally accepts --telemetry=<file>: after the command
 // runs, a JSON snapshot of the solver/analysis telemetry (simplex
 // iterations, B&B nodes, fixpoint rounds, timers — see
-// support/telemetry.hpp for the schema) is written to <file>.
+// support/telemetry.hpp for the schema) is written to <file>.  `admit
+// --socket` refuses it: the analysis then runs in the server process.
+// An option a command does not accept is a usage error (exit 2).
 //
 // Workload files use the format documented in rt/io.hpp.  Exit status: 0 on
 // success (analyze: schedulable), 1 on a negative verdict, 2 on usage or
@@ -31,6 +33,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -39,9 +42,12 @@
 #include <memory>
 #include <iomanip>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "analysis/chains.hpp"
 #include "analysis/engine.hpp"
@@ -82,8 +88,36 @@ int usage() {
       "  mcs_cli example\n"
       "options common to all commands:\n"
       "  --telemetry=<file>  write a JSON solver/analysis telemetry "
-      "snapshot\n";
+      "snapshot\n"
+      "                      (admit: in-process sessions only, not with "
+      "--socket)\n";
   return 2;
+}
+
+/// The `--key` and `--key=value` options each command accepts, besides
+/// --telemetry, which every command accepts.
+const std::map<std::string, std::vector<std::string>> kCommandKeys = {
+    {"analyze", {"approach", "opa"}},
+    {"simulate", {"protocol", "horizon", "pattern", "seed", "gantt"}},
+    {"chains", {"approach"}},
+    {"export-lp", {"window", "ls-case"}},
+    {"admit", {"socket", "script", "verify-log"}},
+    {"example", {}},
+};
+
+/// The first `--key` in argv that is neither in `keys` nor --telemetry.
+std::optional<std::string> unknown_option(
+    const std::vector<std::string>& keys, int argc, char** argv) {
+  for (int i = 0; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, 2) != "--") continue;
+    const std::string key(arg.substr(2, arg.find('=') - 2));
+    if (key != "telemetry" &&
+        std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      return "--" + key;
+    }
+  }
+  return std::nullopt;
 }
 
 /// "--key=value" option access over argv.
@@ -524,52 +558,60 @@ int main(int argc, char** argv) {
     return usage();
   }
   const std::string command = argv[1];
+  const auto keys = kCommandKeys.find(command);
+  if (keys == kCommandKeys.end()) {
+    return usage();
+  }
+  if (const auto bad = unknown_option(keys->second, argc - 2, argv + 2)) {
+    std::cerr << "mcs_cli " << command << ": unknown option '" << *bad
+              << "'\n";
+    return 2;
+  }
   if (command == "example") {
     std::cout << kExample;
     return 0;
   }
-  if (command == "admit") {
-    // Client mode: no workload file — requests come from --script / stdin.
-    try {
-      return cmd_admit(argc - 2, argv + 2);
-    } catch (const std::exception& error) {
-      std::cerr << "error: " << error.what() << "\n";
-      return 2;
-    }
+  // --telemetry=<file> forces collection on and dumps a snapshot once the
+  // command has run (whatever its verdict).
+  const auto telemetry_file = option(argc - 2, argv + 2, "telemetry");
+  if (telemetry_file && command == "admit" &&
+      option(argc - 2, argv + 2, "socket")) {
+    std::cerr << "mcs_cli admit: --telemetry cannot be used with --socket "
+                 "(the analysis runs in the server)\n";
+    return 2;
   }
-  if (argc < 3) {
-    return usage();
+  if (telemetry_file) {
+    support::telemetry::set_enabled(true);
   }
   try {
-    const rt::Workload workload = rt::load_workload_file(argv[2]);
-    const int rest_argc = argc - 3;
-    char** rest_argv = argv + 3;
-    // --telemetry=<file> forces collection on and dumps a snapshot once the
-    // command has run (whatever its verdict).
-    const auto telemetry_file = option(rest_argc, rest_argv, "telemetry");
-    if (telemetry_file) {
-      support::telemetry::set_enabled(true);
-    }
-    std::optional<int> status;
-    if (command == "analyze") {
-      status = cmd_analyze(workload, rest_argc, rest_argv);
-    } else if (command == "simulate") {
-      status = cmd_simulate(workload, rest_argc, rest_argv);
-    } else if (command == "chains") {
-      status = cmd_chains(workload, rest_argc, rest_argv);
-    } else if (command == "export-lp") {
-      status = cmd_export_lp(workload, rest_argc, rest_argv);
-    }
-    if (status) {
-      if (telemetry_file) {
-        support::telemetry::write_json_file(*telemetry_file);
-        std::cerr << "telemetry written to " << *telemetry_file << "\n";
+    int status = 0;
+    if (command == "admit") {
+      // Client mode: no workload file — requests come from --script / stdin.
+      status = cmd_admit(argc - 2, argv + 2);
+    } else {
+      if (argc < 3) {
+        return usage();
       }
-      return *status;
+      const rt::Workload workload = rt::load_workload_file(argv[2]);
+      const int rest_argc = argc - 3;
+      char** rest_argv = argv + 3;
+      if (command == "analyze") {
+        status = cmd_analyze(workload, rest_argc, rest_argv);
+      } else if (command == "simulate") {
+        status = cmd_simulate(workload, rest_argc, rest_argv);
+      } else if (command == "chains") {
+        status = cmd_chains(workload, rest_argc, rest_argv);
+      } else {
+        status = cmd_export_lp(workload, rest_argc, rest_argv);
+      }
     }
+    if (telemetry_file) {
+      support::telemetry::write_json_file(*telemetry_file);
+      std::cerr << "telemetry written to " << *telemetry_file << "\n";
+    }
+    return status;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 2;
   }
-  return usage();
 }

@@ -7,8 +7,9 @@
 # restarts the server on the same log, finishes the session, and then
 # requires (a) the whole log to parse — the restart cut the torn line off
 # before appending — and (b) every logged non-degraded verdict to re-derive
-# identically under `mcs_cli admit --verify-log`.  The service-layer
-# counterpart of tools/resume_smoke.sh.
+# identically under `mcs_cli admit --verify-log`.  Last, one in-process
+# scripted session must write a --telemetry snapshot holding milp.solves.
+# The service-layer counterpart of tools/resume_smoke.sh.
 #
 # Usage: tools/serve_smoke.sh <build-dir>
 set -uo pipefail
@@ -81,4 +82,11 @@ echo "== verify log replays =="
 records=$(grep -c '"request"' "$LOG" || true)
 echo "log holds ${records:-0} request records"
 "$CLI" admit --verify-log="$LOG" || { echo "verify-log failed"; exit 1; }
+
+echo "== in-process session with --telemetry =="
+"$CLI" admit --script="$WORK/session1.jsonl" \
+  --telemetry="$WORK/admit.telemetry.json" > /dev/null || {
+  echo "in-process session failed"; exit 1; }
+grep -q '"milp.solves"' "$WORK/admit.telemetry.json" || {
+  echo "admit --telemetry wrote no milp.solves counter"; exit 1; }
 echo "serve smoke passed: log tail parseable, verdicts re-derived"
