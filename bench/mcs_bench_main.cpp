@@ -136,6 +136,13 @@ std::filesystem::path default_log_path(const exp::SweepSpec& spec,
   return cli.out_dir / (stem + ".jsonl");
 }
 
+/// Table column width of a metric: 12, or its name plus two spaces when
+/// the name is 12 characters or longer.
+int column_width(const exp::MetricSpec& metric) {
+  const int name = static_cast<int>(metric.column.size());
+  return name >= 12 ? name + 2 : 12;
+}
+
 void print_sweep_table(const exp::SweepSpec& spec,
                        const std::vector<exp::SweepRow>& rows) {
   std::cout << "# " << spec.name << " — " << spec.title << "\n"
@@ -143,19 +150,14 @@ void print_sweep_table(const exp::SweepSpec& spec,
             << spec.seed << "\n"
             << std::left << std::setw(8) << spec.axis;
   for (const exp::MetricSpec& metric : spec.metrics) {
-    std::cout << std::setw(metric.column.size() >= 12
-                               ? metric.column.size() + 2
-                               : 12)
-              << metric.column;
+    std::cout << std::setw(column_width(metric)) << metric.column;
   }
   std::cout << "tasksets\n";
   for (const exp::SweepRow& row : rows) {
     std::cout << std::left << std::fixed << std::setprecision(3)
               << std::setw(8) << row.x;
     for (std::size_t m = 0; m < spec.metrics.size(); ++m) {
-      const std::size_t width = spec.metrics[m].column.size() >= 12
-                                    ? spec.metrics[m].column.size() + 2
-                                    : 12;
+      const int width = column_width(spec.metrics[m]);
       if (spec.metrics[m].kind == exp::MetricSpec::kRatio) {
         const double ratio =
             row.ok_units == 0 ? 0.0

@@ -5,13 +5,15 @@
 // urgent promotion, rules R3-R5) both meet it.
 //
 // Prints the three schedules as ASCII Gantt charts plus the corresponding
-// analysis bounds, mirroring Figure 1(a)/(b) and the §IV discussion.
+// analysis bounds, mirroring Figure 1(a)/(b) and the §IV discussion.  Each
+// trace is audited (check/trace_audit.hpp); the tool exits 1 when any
+// audit finds a protocol violation.
 #include <iostream>
 
 #include "analysis/nps.hpp"
 #include "analysis/schedulability.hpp"
+#include "check/trace_audit.hpp"
 #include "rt/task.hpp"
-#include "sim/checker.hpp"
 #include "sim/engine.hpp"
 #include "sim/gantt.hpp"
 
@@ -40,13 +42,19 @@ Task make_task(std::string name, mcs::rt::Time exec, mcs::rt::Time mem,
   return t;
 }
 
-void show(const TaskSet& tasks, Protocol protocol,
+/// Simulates and renders one schedule; returns whether its trace audits
+/// clean.
+bool show(const TaskSet& tasks, Protocol protocol,
           const std::vector<Release>& releases) {
   const auto trace = mcs::sim::simulate(tasks, protocol, releases);
-  const auto check = mcs::sim::check_trace(tasks, protocol, trace);
+  const auto report = mcs::check::audit_trace(tasks, protocol, trace);
   std::cout << mcs::sim::render_gantt(tasks, protocol, trace);
-  std::cout << "  trace invariants: " << (check.ok() ? "OK" : "VIOLATED")
+  std::cout << "  trace invariants: " << (report.clean() ? "OK" : "VIOLATED")
             << "\n\n";
+  if (!report.clean()) {
+    mcs::check::render(report, std::cerr);
+  }
+  return report.clean();
 }
 
 }  // namespace
@@ -57,6 +65,7 @@ int tool_fig1_main() {
   // tau_i ("hi") is released at t = 2, just after the copy-in of the
   // second lower-priority task completed — the worst case of [3].
   const bool kLsVariant[] = {false, true};
+  bool traces_clean = true;
 
   std::cout << "=== Figure 1 reproduction ==================================\n"
             << "hi: C=3 l=u=1 D=10 (released at t=2); lp1, lp2: C=4 l=u=1\n"
@@ -71,12 +80,12 @@ int tool_fig1_main() {
 
     if (!hi_ls) {
       std::cout << "--- Figure 1(a): protocol of [3] (hi blocked twice) ---\n";
-      show(tasks, Protocol::kWasilyPellizzoni, releases);
+      traces_clean &= show(tasks, Protocol::kWasilyPellizzoni, releases);
       std::cout << "--- Figure 1(b): non-preemptive scheduling ------------\n";
-      show(tasks, Protocol::kNonPreemptive, releases);
+      traces_clean &= show(tasks, Protocol::kNonPreemptive, releases);
     } else {
       std::cout << "--- Proposed protocol, hi marked latency-sensitive ----\n";
-      show(tasks, Protocol::kProposed, releases);
+      traces_clean &= show(tasks, Protocol::kProposed, releases);
     }
   }
 
@@ -104,7 +113,7 @@ int tool_fig1_main() {
             << "beaten even by plain NPS here, and the proposed protocol\n"
             << "recovers schedulability (paper §I / Figure 1).\n";
   write_bench_telemetry("fig1_example");
-  return 0;
+  return traces_clean ? 0 : 1;
 }
 
 }  // namespace mcs::bench

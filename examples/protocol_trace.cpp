@@ -13,9 +13,9 @@
 #include <iostream>
 #include <string>
 
+#include "check/trace_audit.hpp"
 #include "gen/generator.hpp"
 #include "rt/types.hpp"
-#include "sim/checker.hpp"
 #include "sim/engine.hpp"
 #include "sim/gantt.hpp"
 #include "sim/job_source.hpp"
@@ -75,12 +75,10 @@ int main(int argc, char** argv) {
   opt.max_width = 200;
   std::cout << "\n" << sim::render_gantt(tasks, protocol, trace);
 
-  const auto check = sim::check_trace(tasks, protocol, trace);
-  if (!check.ok()) {
+  const auto report = check::audit_trace(tasks, protocol, trace);
+  if (!report.clean()) {
     std::cout << "\nINVARIANT VIOLATIONS:\n";
-    for (const auto& v : check.violations) {
-      std::cout << "  " << v << "\n";
-    }
+    check::render(report, std::cout);
     return 2;
   }
   std::cout << "\nall protocol invariants hold on this trace\n";

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -122,8 +121,8 @@ std::vector<TaskSig> fingerprint_of(const rt::TaskSet& tasks) {
   return sig;
 }
 
-/// LS marking as a bitmask (first 64 tasks; used for telemetry and as the
-/// sensitivity warm-seed key, never for correctness decisions).
+/// LS marking as a bitmask (first 64 tasks; used for telemetry only, never
+/// for correctness decisions).
 std::uint64_t marking_mask(const rt::TaskSet& tasks) {
   std::uint64_t mask = 0;
   const std::size_t n = std::min<std::size_t>(tasks.size(), 64);
@@ -132,6 +131,9 @@ std::uint64_t marking_mask(const rt::TaskSet& tasks) {
   }
   return mask;
 }
+
+/// Outer RTA iteration cap (each iteration enlarges the window).
+constexpr std::size_t kMaxOuterIterations = 64;
 
 /// Cache slots per task: the three formulation cases under LS semantics
 /// plus the all-NLS (ignore_ls) case used by the WP baseline.
@@ -184,17 +186,6 @@ struct AnalysisEngine::Impl {
   std::vector<TaskSig> sig;
   std::vector<TaskCacheEntry> cache;
 
-  /// Sensitivity warm-seed store, active only inside max_scaling_factor.
-  struct SensitivityState {
-    double factor = 1.0;  ///< factor of the probe currently analyzed
-    struct PerMarking {
-      std::vector<double> factor;  ///< factor the stored WCRT comes from
-      std::vector<Time> wcrt;      ///< kTimeMax = nothing stored
-    };
-    std::map<std::pair<bool, std::uint64_t>, PerMarking> store;
-  };
-  SensitivityState* sens = nullptr;
-
   /// Drops every cached formulation / memo when the task-set parameters
   /// (LS flags excluded) changed since the last call.
   void sync_task_set(const rt::TaskSet& tasks) {
@@ -209,7 +200,7 @@ struct AnalysisEngine::Impl {
                          FormulationCase fcase,
                          const AnalysisOptions& options);
   TaskBoundResult bound(const rt::TaskSet& tasks, rt::TaskIndex i,
-                        const AnalysisOptions& options, Time warm_start);
+                        const AnalysisOptions& options);
   std::vector<TaskBoundResult> bound_all(const rt::TaskSet& tasks,
                                          const AnalysisOptions& options);
   NpsTaskBound nps(const rt::TaskSet& tasks, rt::TaskIndex i);
@@ -220,11 +211,6 @@ struct AnalysisEngine::Impl {
                           const WpResult* wp_round0);
   ApproachResult dispatch(const rt::TaskSet& tasks, Approach approach,
                           const AnalysisOptions& options);
-
-  Time warm_seed(const rt::TaskSet& tasks, rt::TaskIndex i,
-                 bool ignore_ls) const;
-  void store_seed(const rt::TaskSet& tasks, rt::TaskIndex i, bool ignore_ls,
-                  const TaskBoundResult& bound);
 };
 
 DelayBound AnalysisEngine::Impl::solve_delay(const rt::TaskSet& tasks,
@@ -345,8 +331,7 @@ DelayBound AnalysisEngine::Impl::solve_delay(const rt::TaskSet& tasks,
 
 TaskBoundResult AnalysisEngine::Impl::bound(const rt::TaskSet& tasks,
                                             rt::TaskIndex i,
-                                            const AnalysisOptions& options,
-                                            Time warm_start) {
+                                            const AnalysisOptions& options) {
   MCS_REQUIRE(i < tasks.size(), "bound_response_time: bad task index");
   sync_task_set(tasks);
   const telemetry::ScopedTimer timer("analysis.bound_response_time");
@@ -360,15 +345,6 @@ TaskBoundResult AnalysisEngine::Impl::bound(const rt::TaskSet& tasks,
     result.wcrt = response;
     result.exceeded_deadline = true;
     return result;
-  }
-  if (warm_start > response && warm_start <= task.deadline) {
-    // Fixpoint warm start (sensitivity sweeps): any R0 at or below the
-    // least fixpoint converges to the same place — the iteration from
-    // below stays below (Knaster-Tarski) — and even an over-seeded R0
-    // would only land on a pre-fixpoint f(R) <= R, which is still a safe
-    // WCRT bound.
-    response = warm_start;
-    telemetry::count("analysis.engine.warm_fixpoint_starts");
   }
 
   // Case (b) for LS tasks has a fixed two-interval window independent of
@@ -388,37 +364,9 @@ TaskBoundResult AnalysisEngine::Impl::bound(const rt::TaskSet& tasks,
     case_b_delay = b.delay;
   }
 
-  // Fast accept: the MILP value is monotone in the window length, so if
-  // the bound computed for the largest relevant window t_D = D - C - u
-  // already fits the deadline, the least fixpoint fits too (and that value
-  // is itself a safe WCRT bound).  One MILP instead of a full iteration in
-  // the common (schedulable) case.
-  if (options.fast_accept) {
-    const Time t_deadline = task.deadline - task.exec - task.copy_out;
-    const FormulationCase fcase = analyzed_ls ? FormulationCase::kLsCaseA
-                                              : FormulationCase::kNls;
-    const DelayBound d =
-        solve_delay(tasks, i, t_deadline, fcase, options);
-    result.milp_nodes += d.nodes;
-    result.lp_iterations += d.lp_iterations;
-    if (d.valid) {
-      result.used_relaxation_bound |= d.relaxation;
-      result.degraded |= d.degraded;
-      const Time r_full = delay_to_ticks(std::max(d.delay, case_b_delay)) +
-                          task.copy_out;
-      if (r_full <= task.deadline) {
-        result.wcrt = std::max(response, r_full);
-        result.schedulable = true;
-        return result;
-      }
-      // Inconclusive (f(D) > D does not imply a miss): fall through to the
-      // iterative scheme.
-    }
-  }
-
   std::vector<std::uint64_t> prev_budgets;
   double prev_ls_releases = -1.0;
-  for (std::size_t iter = 0; iter < options.max_outer_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxOuterIterations; ++iter) {
     ++result.outer_iterations;
     telemetry::count("analysis.fixpoint_rounds");
     const Time t = response - task.exec - task.copy_out;
@@ -480,56 +428,11 @@ TaskBoundResult AnalysisEngine::Impl::bound(const rt::TaskSet& tasks,
   return result;
 }
 
-Time AnalysisEngine::Impl::warm_seed(const rt::TaskSet& tasks,
-                                     rt::TaskIndex i, bool ignore_ls) const {
-  if (sens == nullptr || tasks.size() > 64) return 0;
-  const auto key = std::make_pair(ignore_ls, ignore_ls ? std::uint64_t{0}
-                                                       : marking_mask(tasks));
-  const auto it = sens->store.find(key);
-  if (it == sens->store.end()) return 0;
-  const auto& entry = it->second;
-  if (i >= entry.wcrt.size() || entry.wcrt[i] == rt::kTimeMax) return 0;
-  // Seeds are sound only from a factor at or below the probe's: the least
-  // fixpoint is monotone in the scaled parameters.
-  if (entry.factor[i] > sens->factor) return 0;
-  return entry.wcrt[i];
-}
-
-void AnalysisEngine::Impl::store_seed(const rt::TaskSet& tasks,
-                                      rt::TaskIndex i, bool ignore_ls,
-                                      const TaskBoundResult& bound) {
-  if (sens == nullptr || tasks.size() > 64 || !bound.schedulable) return;
-  const auto key = std::make_pair(ignore_ls, ignore_ls ? std::uint64_t{0}
-                                                       : marking_mask(tasks));
-  auto& entry = sens->store[key];
-  if (entry.wcrt.empty()) {
-    entry.factor.assign(tasks.size(), 0.0);
-    entry.wcrt.assign(tasks.size(), rt::kTimeMax);
-  }
-  if (entry.wcrt[i] == rt::kTimeMax || sens->factor >= entry.factor[i]) {
-    entry.factor[i] = sens->factor;
-    entry.wcrt[i] = bound.wcrt;
-  }
-}
-
 std::vector<TaskBoundResult> AnalysisEngine::Impl::bound_all(
     const rt::TaskSet& tasks, const AnalysisOptions& options) {
-  const std::size_t n = tasks.size();
-  std::vector<Time> warm(n, 0);
-  if (sens != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      warm[i] = warm_seed(tasks, i, options.ignore_ls);
-    }
-  }
-  std::vector<TaskBoundResult> results(n);
-  sync_task_set(tasks);
-  for (std::size_t i = 0; i < n; ++i) {
-    results[i] = bound(tasks, i, options, warm[i]);
-  }
-  if (sens != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      store_seed(tasks, i, options.ignore_ls, results[i]);
-    }
+  std::vector<TaskBoundResult> results(tasks.size());
+  for (rt::TaskIndex i = 0; i < tasks.size(); ++i) {
+    results[i] = bound(tasks, i, options);
   }
   return results;
 }
@@ -640,10 +543,7 @@ ProposedResult AnalysisEngine::Impl::proposed(const rt::TaskSet& tasks,
   }
 
   const auto bound_task = [&](rt::TaskIndex i) {
-    const TaskBoundResult b =
-        bound(working, i, options, warm_seed(working, i, options.ignore_ls));
-    store_seed(working, i, options.ignore_ls, b);
-    return b;
+    return bound(working, i, options);
   };
 
   // At most one promotion per round and at most n rounds.
@@ -717,10 +617,7 @@ AnalysisEngine::~AnalysisEngine() = default;
 TaskBoundResult AnalysisEngine::bound_response_time(
     const rt::TaskSet& tasks, rt::TaskIndex i,
     const AnalysisOptions& options) {
-  const Time warm = impl_->warm_seed(tasks, i, options.ignore_ls);
-  const TaskBoundResult result = impl_->bound(tasks, i, options, warm);
-  impl_->store_seed(tasks, i, options.ignore_ls, result);
-  return result;
+  return impl_->bound(tasks, i, options);
 }
 
 NpsTaskBound AnalysisEngine::nps_bound(const rt::TaskSet& tasks,
@@ -761,10 +658,10 @@ OpaResult AnalysisEngine::audsley_assign(const rt::TaskSet& tasks,
       case Approach::kWasilyPellizzoni: {
         AnalysisOptions wp = options;
         wp.ignore_ls = true;
-        return impl_->bound(set, i, wp, 0).schedulable;
+        return impl_->bound(set, i, wp).schedulable;
       }
       case Approach::kProposed:
-        return impl_->bound(set, i, options, 0).schedulable;
+        return impl_->bound(set, i, options).schedulable;
     }
     return false;
   };
@@ -777,20 +674,9 @@ SensitivityResult AnalysisEngine::max_scaling_factor(
   MCS_REQUIRE(options.tolerance > 0.0, "sensitivity: bad tolerance");
   MCS_REQUIRE(options.upper_limit >= 1.0, "sensitivity: bad upper limit");
 
-  // Activate the warm-seed store for the duration of the search; every
-  // probe records the WCRTs it proves schedulable (per LS marking) and
-  // later probes of larger factors start their fixpoints there.
-  Impl::SensitivityState state;
-  impl_->sens = &state;
-  struct SensScope {
-    Impl& impl;
-    ~SensScope() { impl.sens = nullptr; }
-  } scope{*impl_};
-
   SensitivityResult result;
   const auto schedulable = [&](double factor) {
     ++result.analysis_runs;
-    state.factor = factor;
     return impl_
         ->dispatch(scaled(tasks, dimension, factor), approach,
                    options.analysis)

@@ -103,13 +103,8 @@ class AnalysisEngine {
   OpaResult audsley_assign(const rt::TaskSet& tasks, Approach approach,
                            const AnalysisOptions& options = {});
 
-  /// Sensitivity search (Figure 2(e) axis).  Beyond plain reuse, each
-  /// probe's RTA fixpoints are warm-started from the WCRTs of the largest
-  /// already-proven-schedulable factor at the same LS marking: the least
-  /// fixpoint is monotone in the scaled parameters (metamorphic tests
-  /// InflatingExecutionTime / InflatingMemoryPhases), so that seed starts
-  /// at or below the target fixpoint and the iteration converges to the
-  /// same place in fewer rounds.
+  /// Sensitivity search (Figure 2(e) axis): each probe is a plain
+  /// analyze() of the scaled task set on this engine.
   SensitivityResult max_scaling_factor(const rt::TaskSet& tasks,
                                        Approach approach,
                                        ScalingDimension dimension,

@@ -35,14 +35,6 @@ struct AnalysisOptions {
   /// Treat every task as NLS — the analysis of the protocol of [3]
   /// (DESIGN.md §5.3).
   bool ignore_ls = false;
-  /// Outer RTA iteration cap (each iteration enlarges the window).
-  std::size_t max_outer_iterations = 64;
-  /// First try the deadline-sized window and accept immediately when the
-  /// bound fits (sound by monotonicity; the reported WCRT is then the
-  /// deadline-window value, an upper bound on the least fixpoint).  Off by
-  /// default: iterating from below converges at the *smallest* fixpoint
-  /// window, whose MILPs are far cheaper than the deadline-sized one.
-  bool fast_accept = false;
 
   AnalysisOptions() {
     // Analysis MILPs are small; a modest node budget keeps worst cases

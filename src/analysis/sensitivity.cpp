@@ -8,9 +8,8 @@ SensitivityResult max_scaling_factor(const rt::TaskSet& tasks,
                                      Approach approach,
                                      ScalingDimension dimension,
                                      const SensitivityOptions& options) {
-  // The search lives in AnalysisEngine (engine.cpp): beyond formulation
-  // reuse, each probe's RTA fixpoints are warm-started from the WCRTs the
-  // previous (smaller) schedulable factor proved at the same LS marking.
+  // The search lives in AnalysisEngine (engine.cpp); each probe is one
+  // analysis of the scaled task set.
   AnalysisEngine engine;
   return engine.max_scaling_factor(tasks, approach, dimension, options);
 }

@@ -197,8 +197,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "job executed or copied out more than once",
        "three-phase model (§II)"},
       {"MCS-P012", Severity::kError,
-       "job lifecycle bookkeeping inconsistent (ordering or cancellation "
-       "counter)",
+       "job lifecycle bookkeeping inconsistent (ordering, completion or "
+       "cancellation counter)",
        "§II job model; trace record contract"},
       // MCS-V0xx: exhaustive model-checker verdicts (mcs::verify).  Unlike
       // the per-trace MCS-P rules, each of these quantifies over *every*

@@ -222,13 +222,16 @@ CheckReport audit_trace(const rt::TaskSet& tasks, Protocol protocol,
         report.add("MCS-P012", Severity::kError, label,
                    "copy-in recorded after the execution start");
       }
+    } else if (!trace.aborted) {
+      report.add("MCS-P012", Severity::kError, label,
+                 "never completed in a trace that was not aborted");
     }
     if (job.became_urgent && !tasks[job.id.task].latency_sensitive) {
       report.add("MCS-P005", Severity::kError, label,
                  "non-LS job carries an urgent-promotion record (R4)");
     }
 
-    if (!interval_protocol || trace.aborted || !job.completed()) {
+    if (!interval_protocol || !job.completed()) {
       continue;
     }
 

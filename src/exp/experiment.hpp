@@ -6,7 +6,8 @@
 // measures the fraction deemed schedulable by each of the three approaches
 // (proposed / WP2016 [3] / NPS).
 //
-// Execution is delegated to exp::run_sweep (sweep_runner.hpp): every
+// An ExperimentConfig only describes the sweep; experiment_sweep_spec turns
+// it into a SweepSpec for exp::run_sweep (sweep_runner.hpp), where every
 // (point, task-set slot) pair is one unit in a global work queue, seeded
 // purely by derive_seed(seed, point, slot), so the CSV output is
 // byte-identical for a fixed seed regardless of thread count, shard
@@ -14,8 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -38,78 +37,13 @@ struct ExperimentConfig {
   std::size_t tasksets_per_point = 40;
   std::uint64_t seed = 1;
   analysis::AnalysisOptions analysis;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
-};
-
-struct SweepPoint {
-  double x = 0.0;
-  /// Task sets successfully analyzed (excludes `errors`).
-  std::size_t tasksets = 0;
-  /// Units whose analysis threw even after the runner's retry budget.
-  std::size_t errors = 0;
-  /// Schedulable counts indexed by analysis::Approach.
-  std::size_t schedulable_proposed = 0;
-  std::size_t schedulable_wp = 0;
-  std::size_t schedulable_nps = 0;
-  /// Task sets where *any* MILP (WP or Proposed analysis) fell back to its
-  /// dual bound.  Counted at most once per task set, so always <= tasksets.
-  std::size_t relaxation_fallbacks = 0;
-  /// Per-analysis fallback splits (a task set can appear in both).
-  std::size_t fallbacks_wp = 0;
-  std::size_t fallbacks_proposed = 0;
-  /// Sum of per-unit analysis wall times for this point (table only — the
-  /// CSV is timing-free so its bytes stay deterministic).
-  double seconds = 0.0;
-  /// Per-task-set analysis latency percentiles within this point (seconds;
-  /// all three approaches per task set).
-  double p50_seconds = 0.0;
-  double p90_seconds = 0.0;
-  double p99_seconds = 0.0;
-
-  double ratio(analysis::Approach approach) const;
-};
-
-struct ExperimentResult {
-  ExperimentConfig config;
-  std::vector<SweepPoint> points;
-  double total_seconds = 0.0;
 };
 
 /// The SweepSpec equivalent of `config`: metric columns proposed / wp2016 /
 /// nps (ratios) and relaxation_fallbacks / fallbacks_wp / fallbacks_proposed
 /// (counts); evaluate() runs the three-approach analysis pipeline on one
-/// generated task set.
+/// generated task set.  Run it with run_sweep, fold the outcomes with
+/// aggregate_outcomes and write them with write_sweep_csv.
 SweepSpec experiment_sweep_spec(const ExperimentConfig& config);
-
-/// Folds unit outcomes (from run_sweep or merge_sweep_logs) into per-point
-/// results, including the latency percentiles for the printed table.
-std::vector<SweepPoint> points_from_outcomes(
-    const ExperimentConfig& config, const std::vector<UnitOutcome>& outcomes);
-
-/// Runs the experiment on the global work queue (threads from
-/// config.threads; no result log).
-ExperimentResult run_experiment(const ExperimentConfig& config);
-
-/// Runs the experiment with full runner control (sharding, JSONL log,
-/// resume...).  `options` is taken as-is — config.threads is NOT consulted.
-ExperimentResult run_experiment(const ExperimentConfig& config,
-                                const RunnerOptions& options);
-
-/// Prints the result as an aligned table (one row per sweep point with the
-/// three schedulability ratios), the format the figures plot.
-void print_result(const ExperimentResult& result, std::ostream& out);
-
-/// Writes `<config.name>.csv` into `directory` (atomic temp + rename).
-/// Same bytes as write_sweep_csv over the equivalent rows — timing-free.
-void write_csv(const ExperimentResult& result,
-               const std::filesystem::path& directory);
-
-/// Applies MCS_TASKSETS / MCS_SEED / MCS_THREADS environment overrides —
-/// lets users scale benches up or down without recompiling.
-void apply_env_overrides(ExperimentConfig& config);
-
-/// MCS_TASKSETS / MCS_SEED overrides for registry sweeps that are not
-/// ExperimentConfig-based (thread count lives in RunnerOptions there).
-void apply_env_overrides(SweepSpec& spec);
 
 }  // namespace mcs::exp

@@ -4,8 +4,6 @@
 
 namespace mcs::exp {
 
-namespace {
-
 std::vector<double> range(double lo, double hi, double step) {
   std::vector<double> values;
   for (double x = lo; x <= hi + 1e-9; x += step) {
@@ -13,8 +11,6 @@ std::vector<double> range(double lo, double hi, double step) {
   }
   return values;
 }
-
-}  // namespace
 
 ExperimentConfig figure2_config(char inset) {
   ExperimentConfig cfg;
@@ -92,7 +88,6 @@ ExperimentConfig figure2_config(char inset) {
     default:
       MCS_REQUIRE(false, "figure2_config: inset must be 'a'..'f'");
   }
-  apply_env_overrides(cfg);
   return cfg;
 }
 

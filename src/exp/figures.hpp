@@ -7,13 +7,19 @@
 // points of (a) and (c).  EXPERIMENTS.md records what was measured.
 #pragma once
 
+#include <vector>
+
 #include "exp/experiment.hpp"
 
 namespace mcs::exp {
 
-/// Returns the experiment configuration for Figure 2 inset 'a'..'f'.
-/// Environment overrides (MCS_TASKSETS / MCS_SEED / MCS_THREADS) are
-/// already applied.
+/// Sweep values lo, lo + step, ... up to hi (inclusive, 1e-9 slack for
+/// the accumulated rounding).
+std::vector<double> range(double lo, double hi, double step);
+
+/// Returns the experiment configuration for Figure 2 inset 'a'..'f' with
+/// its built-in size and seed (the registry applies the MCS_TASKSETS /
+/// MCS_SEED overrides to the sweep built from it).
 ExperimentConfig figure2_config(char inset);
 
 }  // namespace mcs::exp

@@ -17,10 +17,16 @@ namespace mcs::exp {
 struct SweepEntry {
   std::string name;         ///< CLI name and log/CSV file stem
   std::string description;  ///< one-liner for `mcs_bench list`
-  /// Builds the spec.  Called at run/merge time so MCS_TASKSETS / MCS_SEED
-  /// environment overrides apply.
+  /// Builds the spec with apply_env_overrides applied.  Called at run/merge
+  /// time so MCS_TASKSETS / MCS_SEED set for that run take effect.
   SweepSpec (*make)() = nullptr;
 };
+
+/// Applies the MCS_TASKSETS (slots per point, >= 1) and MCS_SEED
+/// environment overrides — lets users scale sweeps up or down without
+/// recompiling.  A set but malformed value throws ContractViolation.  The
+/// thread count is not part of a spec: mcs_bench reads MCS_THREADS itself.
+void apply_env_overrides(SweepSpec& spec);
 
 /// All registered sweeps: fig2a..fig2f plus the LS-marking and
 /// priority-assignment ablations.

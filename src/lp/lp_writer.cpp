@@ -47,7 +47,8 @@ std::vector<std::string> unique_names(const std::vector<std::string>& raw,
   for (std::size_t i = 0; i < raw.size(); ++i) {
     std::string candidate = sanitize(raw[i], i, fallback_prefix);
     while (!used.insert(candidate).second) {
-      candidate += "_" + std::to_string(i);
+      candidate += '_';
+      candidate += std::to_string(i);
     }
     names.push_back(std::move(candidate));
   }

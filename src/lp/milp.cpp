@@ -19,6 +19,17 @@ namespace {
 
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
+/// A relaxation value within this distance of an integer counts as
+/// integral.
+constexpr double kIntegralityTol = 1e-6;
+
+/// Prune nodes whose relaxation bound does not beat the incumbent by more
+/// than this absolute amount.
+constexpr double kAbsoluteGap = 1e-7;
+
+/// Run the fix-and-complete rounding heuristic every this many nodes.
+constexpr std::size_t kHeuristicPeriod = 64;
+
 /// A node whose bounds differ from the solver's current tableau by at most
 /// this many deltas reoptimizes in situ with the dual simplex (each delta
 /// violates at most one basic row, so the repair stays a handful of pivots);
@@ -163,12 +174,12 @@ class BranchAndBound {
   /// distance to the nearest integer); npos when integral within tolerance.
   std::size_t pick_branch_var(const std::vector<double>& values) const {
     std::size_t best = npos;
-    double best_dist = opt_.integrality_tol;
+    double best_dist = kIntegralityTol;
     int best_prio = std::numeric_limits<int>::min();
     for (std::size_t k = 0; k < int_vars_.size(); ++k) {
       const double x = values[int_vars_[k]];
       const double dist = std::abs(x - std::round(x));
-      if (dist <= opt_.integrality_tol) continue;
+      if (dist <= kIntegralityTol) continue;
       const int prio = int_vars_[k] < opt_.branch_priority.size()
                            ? opt_.branch_priority[int_vars_[k]]
                            : 0;
@@ -195,7 +206,7 @@ class BranchAndBound {
     std::vector<double> snapped = opt_.start_values;
     for (const std::size_t v : int_vars_) {
       const double r = std::round(snapped[v]);
-      if (std::abs(snapped[v] - r) > opt_.integrality_tol) return;
+      if (std::abs(snapped[v] - r) > kIntegralityTol) return;
       snapped[v] = r;
     }
     if (!base_.is_feasible(snapped, opt_.lp.feasibility_tol * 10.0)) return;
@@ -462,8 +473,8 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
     // A node whose inherited bound cannot beat the incumbent is dead.
     if (result.has_incumbent &&
         !better(node.bound, result.objective + (maximize_
-                                                    ? opt_.absolute_gap
-                                                    : -opt_.absolute_gap))) {
+                                                    ? kAbsoluteGap
+                                                    : -kAbsoluteGap))) {
       ++result.nodes_pruned;
       continue;
     }
@@ -494,8 +505,8 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
 
     const double bound = relax.objective;
     if (result.has_incumbent &&
-        !better(bound, result.objective + (maximize_ ? opt_.absolute_gap
-                                                     : -opt_.absolute_gap))) {
+        !better(bound, result.objective + (maximize_ ? kAbsoluteGap
+                                                     : -kAbsoluteGap))) {
       ++result.nodes_pruned;
       continue;  // cannot beat incumbent
     }
@@ -514,10 +525,10 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
     if (opt_.enable_rounding_heuristic) {
       if (result.nodes == 1) {
         dive_heuristic(node_bounds, result);
-      } else if (result.nodes % opt_.heuristic_period == 0) {
+      } else if (result.nodes % kHeuristicPeriod == 0) {
         rounding_heuristic(node_bounds, relax.values, result);
         if (!result.has_incumbent &&
-            result.nodes % (opt_.heuristic_period * 8) == 0) {
+            result.nodes % (kHeuristicPeriod * 8) == 0) {
           dive_heuristic(node_bounds, result);
         }
       }
@@ -733,7 +744,7 @@ MilpResult solve_with_presolve(const Model& base, const MilpOptions& options,
   ropt.start_values.clear();
   if (options.start_values.size() == pre.map.original_cols) {
     std::vector<double> restricted;
-    if (pre.map.restrict_primal(options.start_values, options.integrality_tol,
+    if (pre.map.restrict_primal(options.start_values, kIntegralityTol,
                                 &restricted)) {
       ropt.start_values = std::move(restricted);
     }

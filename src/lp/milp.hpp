@@ -19,18 +19,12 @@ namespace mcs::lp {
 struct MilpOptions {
   SimplexOptions lp;
   std::size_t max_nodes = 200000;
-  double integrality_tol = 1e-6;
-  /// Prune nodes whose relaxation bound does not beat the incumbent by more
-  /// than this absolute amount.
-  double absolute_gap = 1e-7;
   /// Terminate once the best open bound is within this relative distance of
   /// the incumbent (0 = prove optimality).  On gap termination the result
   /// status is kOptimal-like with `best_bound` still a valid dual bound —
   /// consumers needing safety must read best_bound, not objective.
   double relative_gap = 0.0;
   bool enable_rounding_heuristic = true;
-  /// Run the fix-and-complete rounding heuristic every this many nodes.
-  std::size_t heuristic_period = 64;
   /// Optional per-variable branching priorities (indexed by VarId).  Among
   /// fractional integral variables, the highest priority class is branched
   /// first (most-fractional within the class).  Empty = uniform priority.

@@ -246,7 +246,7 @@ class Reducer {
     double max_act = 0.0;
     bool min_fin = true;
     bool max_fin = true;
-    for (const auto [v, a] : row.terms) {
+    for (const auto& [v, a] : row.terms) {
       const Col& c = cols_[v];
       const double at_lo = a * c.lo;
       const double at_hi = a * c.hi;
@@ -291,14 +291,14 @@ class Reducer {
 
     // Forcing: the row is satisfiable only at one extreme bound vector.
     if (need_le && min_fin && min_act >= row.rhs - act_tol) {
-      for (const auto [v, a] : row.terms) {
+      for (const auto& [v, a] : row.terms) {
         fix(v, a > 0.0 ? cols_[v].lo : cols_[v].hi);
       }
       remove_row(ri, ReductionKind::kForcingRow);
       return;
     }
     if (need_ge && max_fin && max_act <= row.rhs + act_tol) {
-      for (const auto [v, a] : row.terms) {
+      for (const auto& [v, a] : row.terms) {
         fix(v, a > 0.0 ? cols_[v].hi : cols_[v].lo);
       }
       remove_row(ri, ReductionKind::kForcingRow);
@@ -309,7 +309,7 @@ class Reducer {
     // activity snapshot above; tighten_* only ever improves, so stale
     // residuals are merely conservative.
     if (need_le && min_fin) {
-      for (const auto [v, a] : row.terms) {
+      for (const auto& [v, a] : row.terms) {
         const Col& c = cols_[v];
         const double residual =
             min_act - (a > 0.0 ? a * c.lo : a * c.hi);
@@ -323,7 +323,7 @@ class Reducer {
       }
     }
     if (need_ge && max_fin) {
-      for (const auto [v, a] : row.terms) {
+      for (const auto& [v, a] : row.terms) {
         const Col& c = cols_[v];
         const double residual =
             max_act - (a > 0.0 ? a * c.hi : a * c.lo);
@@ -536,7 +536,7 @@ class Reducer {
         if (!row.alive) continue;
         double lo = inf;
         double hi = 0.0;
-        for (const auto [v, a] : row.terms) {
+        for (const auto& [v, a] : row.terms) {
           const double m = std::abs(a) * cs[v];
           if (m == 0.0) continue;
           lo = std::min(lo, m);
@@ -549,7 +549,7 @@ class Reducer {
       for (std::size_t r = 0; r < rows_.size(); ++r) {
         const Row& row = rows_[r];
         if (!row.alive) continue;
-        for (const auto [v, a] : row.terms) {
+        for (const auto& [v, a] : row.terms) {
           const double m = std::abs(a) * rs[r];
           if (m == 0.0) continue;
           clo[v] = std::min(clo[v], m);
@@ -656,7 +656,7 @@ class Reducer {
       Row& row = rows_[r];
       if (!row.alive) continue;
       LinExpr lhs;
-      for (const auto [v, a] : row.terms) {
+      for (const auto& [v, a] : row.terms) {
         lhs.add_term(VarId{map.col_map[v]}, a * rs[r] * cs[v]);
       }
       map.row_map[r] = red.num_constraints();
@@ -669,7 +669,7 @@ class Reducer {
     // constant so objective values transfer between spaces unchanged.
     double constant = model_.objective().constant();
     LinExpr obj(0.0);
-    for (const auto [v, coef] : model_.objective().terms()) {
+    for (const auto& [v, coef] : model_.objective().terms()) {
       if (cols_[v].fixed) {
         constant += coef * cols_[v].value;
       } else {

@@ -329,7 +329,7 @@ SolveStatus DenseKernel::iterate(bool phase_one, std::size_t& iterations) {
       return SolveStatus::kIterationLimit;
     }
     const bool bland = iterations >= opt_.bland_threshold;
-    if (since_refactor >= opt_.refactor_period) {
+    if (since_refactor >= kRefactorPeriod) {
       recompute_reduced_costs();
       since_refactor = 0;
     }
@@ -614,7 +614,7 @@ SolveStatus DenseKernel::dual_reoptimize(std::size_t& iterations) {
       return SolveStatus::kIterationLimit;
     }
     const bool bland = iterations >= opt_.bland_threshold;
-    if (since_refactor >= opt_.refactor_period) {
+    if (since_refactor >= kRefactorPeriod) {
       recompute_reduced_costs();
       compute_basic_values();
       since_refactor = 0;
@@ -1028,7 +1028,7 @@ LpSolution SimplexSolver::solve_warm(const Basis* parent) {
   if (!im.valid()) {
     return solve();
   }
-  if (++im.warm_since_cold_ > im.opt_.warm_refresh_period) {
+  if (++im.warm_since_cold_ > kWarmRefreshPeriod) {
     // Scheduled hygiene restart: bounds drift accumulated in the pivoted
     // right-hand side (dense) or eta file round-off (sparse) resets.
     return solve();

@@ -62,18 +62,6 @@ struct SimplexOptions {
   /// After this many pivots, switch from Dantzig to Bland's rule
   /// (guarantees finite termination under degeneracy).
   std::size_t bland_threshold = 5000;
-  /// Recompute the reduced-cost row from scratch every this many pivots to
-  /// curb error accumulation in the incremental update.
-  std::size_t refactor_period = 256;
-  /// Force a cold re-solve after this many consecutive warm solves so that
-  /// round-off accumulated in the pivoted right-hand side cannot drift
-  /// unbounded across a long branch & bound run.
-  std::size_t warm_refresh_period = 512;
-  /// Pivot budget for a single warm attempt (dual + closing primal).  A
-  /// healthy warm restart takes a handful of pivots; one that does not is
-  /// cheaper to abandon for a cold solve than to grind out.  0 = auto
-  /// (scaled to the model's row count).
-  std::size_t warm_iteration_budget = 0;
 };
 
 struct LpSolution {

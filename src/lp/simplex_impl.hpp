@@ -28,6 +28,16 @@ constexpr std::size_t npos = static_cast<std::size_t>(-1);
 /// models with 1e9-scale right-hand sides.
 constexpr double kPhase1ScaleCap = 1e5;
 
+/// Recompute the reduced-cost row from scratch every this many pivots to
+/// curb error accumulation in the incremental update (dense kernel); the
+/// sparse kernel refactorizes after min(this, max(32, rows / 2)) etas.
+constexpr std::size_t kRefactorPeriod = 256;
+
+/// Force a cold re-solve after this many consecutive warm solves so that
+/// round-off accumulated in the pivoted right-hand side cannot drift
+/// unbounded across a long branch & bound run.
+constexpr std::size_t kWarmRefreshPeriod = 512;
+
 enum class VarStatus : std::uint8_t { kBasic, kAtLower, kAtUpper };
 
 /// Internal column: value x = offset + sign * y where y is the simplex
@@ -78,11 +88,11 @@ struct SimplexSolver::Impl {
   virtual bool warm_attempt(const Basis* parent, LpSolution& sol) = 0;
   virtual Basis snapshot() const = 0;
 
-  /// Pivot cap for one warm attempt (see SimplexOptions).
-  std::size_t warm_budget() const {
-    return opt_.warm_iteration_budget != 0 ? opt_.warm_iteration_budget
-                                           : 4 * num_rows() + 100;
-  }
+  /// Pivot budget for one warm attempt (dual + closing primal), scaled to
+  /// the row count.  A healthy warm restart takes a handful of pivots; one
+  /// that does not is cheaper to abandon for a cold solve than to grind
+  /// out.
+  std::size_t warm_budget() const { return 4 * num_rows() + 100; }
 };
 
 std::unique_ptr<SimplexSolver::Impl> make_dense_kernel(

@@ -374,7 +374,7 @@ bool SparseKernel::maybe_refactor(bool force) {
   // total-count trigger would re-fire immediately on any basis with more
   // than count_cap structural columns and thrash.
   const std::size_t count_cap = std::min(
-      opt_.refactor_period, std::max<std::size_t>(32, rows_ / 2));
+      kRefactorPeriod, std::max<std::size_t>(32, rows_ / 2));
   const std::size_t entry_cap =
       std::max<std::size_t>(1024, 4 * (mat_.nnz() + rows_));
   if (force || eta_.eta_count() - factor_etas_ >= count_cap ||

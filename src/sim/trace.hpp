@@ -2,8 +2,8 @@
 //
 // The simulator (engine.hpp) produces a Trace: per-interval records of what
 // the CPU and the DMA engine did, plus per-job lifecycle data.  Traces feed
-// the invariant checkers (checker.hpp — Properties 1-4 of the paper), the
-// ASCII Gantt renderer (gantt.hpp), and the soundness tests that compare
+// the protocol audit (check/trace_audit.hpp — Properties 1-4 of the paper),
+// the ASCII Gantt renderer (gantt.hpp), and the soundness tests that compare
 // simulated response times against analysis bounds.
 #pragma once
 

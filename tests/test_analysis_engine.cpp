@@ -1,10 +1,9 @@
 // Differential and determinism tests for the AnalysisEngine session layer:
-// carried solver state (formulation patches, reusable B&B sessions, carried
-// incumbents, warm-started fixpoints) must never change a result — only how
-// fast it is computed.  The carried-state tests run with relative_gap = 0
-// so every MILP is solved to proven optimality: exact optima are
-// independent of the search path, making the expected equalities bit-exact
-// rather than tolerance-based.
+// carried state (formulation patches, carried incumbents, memoized NPS
+// bounds) must never change a result — only how fast it is computed.  The
+// carried-state tests run with relative_gap = 0 so every MILP is solved to
+// proven optimality: exact optima are independent of the search path,
+// making the expected equalities bit-exact rather than tolerance-based.
 #include "analysis/engine.hpp"
 
 #include <cmath>
@@ -262,10 +261,10 @@ TEST(AnalysisEngine, ParameterEditDropsCarriedState) {
                  fresh.analyze_wp(tasks, options), "after edit");
 }
 
-// The sensitivity search warm-starts each probe's fixpoints from the
-// previous schedulable factor's WCRTs; its brackets must still be real:
-// the reported max factor analyzes schedulable from scratch and the
-// failing bracket does not.
+// The sensitivity search runs every probe on one engine, whose caches
+// carry over from probe to probe; its brackets must still be real: the
+// reported max factor analyzes schedulable from scratch and the failing
+// bracket does not.
 TEST(AnalysisEngine, SensitivityWarmStartBracketsAreReal) {
   const TaskSet tasks({make_task("a", 20, 5, 200, 120, 0),
                        make_task("b", 30, 8, 300, 250, 1),

@@ -263,30 +263,6 @@ TEST(Relaxation, LpBoundDominatesExactBound) {
 }
 
 // ---------------------------------------------------------------------------
-// fast_accept mode: verdicts must match the iterative scheme (the bound may
-// be coarser — evaluated at the deadline-sized window — but never unsafe).
-// ---------------------------------------------------------------------------
-
-TEST(FastAccept, VerdictsMatchIterativeScheme) {
-  const TaskSet tasks({make_task("hi", 3, 1, 1, 50, 30, 0),
-                       make_task("mid", 5, 2, 2, 80, 60, 1),
-                       make_task("lo", 8, 2, 2, 120, 120, 2)});
-  AnalysisOptions fast;
-  fast.fast_accept = true;
-  for (mcs::rt::TaskIndex i = 0; i < tasks.size(); ++i) {
-    const auto iterative = bound_response_time(tasks, i);
-    const auto accepted = bound_response_time(tasks, i, fast);
-    EXPECT_EQ(iterative.schedulable, accepted.schedulable) << "task " << i;
-    if (iterative.schedulable && accepted.schedulable) {
-      // fast_accept evaluates at the larger deadline window: its bound
-      // dominates the converged one but must still fit the deadline.
-      EXPECT_GE(accepted.wcrt, iterative.wcrt);
-      EXPECT_LE(accepted.wcrt, tasks[i].deadline);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Regression: delay_to_ticks must round *up* (DESIGN.md §5.1).  The old
 // implementation computed ceil(delay - 1e-6), which mapped a genuine bound
 // like 5.0000005 to 5 ticks — below the bound, i.e. unsafe.

@@ -1,12 +1,12 @@
 #include "exp/experiment.hpp"
 #include "exp/figures.hpp"
+#include "exp/registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,18 +21,25 @@ namespace {
 using mcs::analysis::Approach;
 using mcs::exp::apply_env_overrides;
 using mcs::exp::ExperimentConfig;
-using mcs::exp::ExperimentResult;
 using mcs::exp::experiment_sweep_spec;
 using mcs::exp::figure2_config;
-using mcs::exp::print_result;
-using mcs::exp::run_experiment;
 using mcs::exp::SweepParam;
+using mcs::exp::SweepRow;
 using mcs::exp::SweepSpec;
 using mcs::exp::SweepUnit;
-using mcs::exp::write_csv;
 using mcs::support::derive_seed;
 using mcs::support::Rng;
 namespace telemetry = mcs::support::telemetry;
+
+// Metric columns of experiment_sweep_spec.
+enum Column : std::size_t {
+  kProposed = 0,
+  kWp,
+  kNps,
+  kAnyFallback,
+  kFallbackWp,
+  kFallbackProposed,
+};
 
 ExperimentConfig tiny_config() {
   ExperimentConfig cfg;
@@ -45,68 +52,65 @@ ExperimentConfig tiny_config() {
   cfg.values = {0.15, 0.5};
   cfg.tasksets_per_point = 4;
   cfg.seed = 7;
-  cfg.threads = 1;
   return cfg;
 }
 
+mcs::exp::SweepRunResult run(const SweepSpec& spec, std::size_t threads = 1) {
+  mcs::exp::RunnerOptions options;
+  options.threads = threads;
+  return mcs::exp::run_sweep(spec, options);
+}
+
+std::vector<SweepRow> run_rows(const ExperimentConfig& cfg,
+                               std::size_t threads = 1) {
+  const SweepSpec spec = experiment_sweep_spec(cfg);
+  return mcs::exp::aggregate_outcomes(spec, run(spec, threads).outcomes);
+}
+
 TEST(Experiment, RunsAndCountsConsistently) {
-  const ExperimentResult result = run_experiment(tiny_config());
-  ASSERT_EQ(result.points.size(), 2u);
-  for (const auto& p : result.points) {
-    EXPECT_EQ(p.tasksets, 4u);
-    EXPECT_LE(p.schedulable_proposed, p.tasksets);
-    EXPECT_LE(p.schedulable_wp, p.tasksets);
-    EXPECT_LE(p.schedulable_nps, p.tasksets);
+  const SweepSpec spec = experiment_sweep_spec(tiny_config());
+  const mcs::exp::SweepRunResult result = run(spec);
+  const std::vector<SweepRow> rows =
+      mcs::exp::aggregate_outcomes(spec, result.outcomes);
+  ASSERT_EQ(rows.size(), 2u);
+  for (const SweepRow& r : rows) {
+    const auto& m = r.metric_sums;
+    EXPECT_EQ(r.ok_units, 4u);
+    EXPECT_EQ(r.errors, 0u);
+    EXPECT_LE(m[kProposed], r.ok_units);
+    EXPECT_LE(m[kWp], r.ok_units);
+    EXPECT_LE(m[kNps], r.ok_units);
     // Fallbacks are counted at most once per task set (regression: the WP
     // and Proposed analyses of one set used to tick the counter twice).
-    EXPECT_LE(p.relaxation_fallbacks, p.tasksets);
-    EXPECT_LE(p.fallbacks_wp, p.tasksets);
-    EXPECT_LE(p.fallbacks_proposed, p.tasksets);
-    EXPECT_LE(p.relaxation_fallbacks, p.fallbacks_wp + p.fallbacks_proposed);
-    // Percentiles are ordered and positive for a point that did work.
-    EXPECT_GT(p.p50_seconds, 0.0);
-    EXPECT_LE(p.p50_seconds, p.p90_seconds);
-    EXPECT_LE(p.p90_seconds, p.p99_seconds);
+    EXPECT_LE(m[kAnyFallback], r.ok_units);
+    EXPECT_LE(m[kFallbackWp], r.ok_units);
+    EXPECT_LE(m[kFallbackProposed], r.ok_units);
+    EXPECT_LE(m[kAnyFallback], m[kFallbackWp] + m[kFallbackProposed]);
     // Greedy containment: proposed dominates WP by construction.
-    EXPECT_GE(p.schedulable_proposed, p.schedulable_wp);
-    EXPECT_GE(p.ratio(Approach::kProposed), p.ratio(Approach::kWasilyPellizzoni));
+    EXPECT_GE(m[kProposed], m[kWp]);
+  }
+  // Every unit did measurable work.
+  for (const mcs::exp::UnitOutcome& unit : result.outcomes) {
+    EXPECT_GT(unit.seconds, 0.0);
   }
   // Low utilization must not be harder than high utilization.
-  EXPECT_GE(result.points[0].schedulable_proposed,
-            result.points[1].schedulable_proposed);
+  EXPECT_GE(rows[0].metric_sums[kProposed], rows[1].metric_sums[kProposed]);
 }
 
 TEST(Experiment, DeterministicAcrossRunsAndThreadCounts) {
-  ExperimentConfig cfg = tiny_config();
-  const ExperimentResult a = run_experiment(cfg);
-  cfg.threads = 3;
-  const ExperimentResult b = run_experiment(cfg);
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (std::size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_EQ(a.points[i].schedulable_proposed,
-              b.points[i].schedulable_proposed);
-    EXPECT_EQ(a.points[i].schedulable_wp, b.points[i].schedulable_wp);
-    EXPECT_EQ(a.points[i].schedulable_nps, b.points[i].schedulable_nps);
+  const std::vector<SweepRow> a = run_rows(tiny_config(), 1);
+  const std::vector<SweepRow> b = run_rows(tiny_config(), 3);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].ok_units, b[i].ok_units);
+    EXPECT_EQ(a[i].metric_sums, b[i].metric_sums);
   }
 }
 
-TEST(Experiment, PrintsTableWithHeaderAndRows) {
-  const ExperimentResult result = run_experiment(tiny_config());
-  std::ostringstream out;
-  print_result(result, out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("proposed"), std::string::npos);
-  EXPECT_NE(text.find("wp2016"), std::string::npos);
-  EXPECT_NE(text.find("nps"), std::string::npos);
-  EXPECT_NE(text.find("0.150"), std::string::npos);
-  EXPECT_NE(text.find("0.500"), std::string::npos);
-}
-
 TEST(Experiment, WritesCsv) {
-  const ExperimentResult result = run_experiment(tiny_config());
-  const auto dir = std::filesystem::temp_directory_path();
-  write_csv(result, dir);
-  const auto path = dir / "tiny.csv";
+  const ExperimentConfig cfg = tiny_config();
+  const auto path = std::filesystem::temp_directory_path() / "tiny.csv";
+  mcs::exp::write_sweep_csv(experiment_sweep_spec(cfg), run_rows(cfg), path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string header;
@@ -128,34 +132,35 @@ TEST(Experiment, WritesCsv) {
 TEST(Experiment, RejectsEmptyConfigs) {
   ExperimentConfig cfg = tiny_config();
   cfg.values.clear();
-  EXPECT_THROW(run_experiment(cfg), mcs::support::ContractViolation);
+  EXPECT_THROW(experiment_sweep_spec(cfg), mcs::support::ContractViolation);
   cfg = tiny_config();
   cfg.tasksets_per_point = 0;
-  EXPECT_THROW(run_experiment(cfg), mcs::support::ContractViolation);
+  EXPECT_THROW(experiment_sweep_spec(cfg), mcs::support::ContractViolation);
 }
 
 TEST(Experiment, EnvOverridesApply) {
   setenv("MCS_TASKSETS", "11", 1);
   setenv("MCS_SEED", "99", 1);
-  setenv("MCS_THREADS", "2", 1);
-  ExperimentConfig cfg = tiny_config();
-  apply_env_overrides(cfg);
-  EXPECT_EQ(cfg.tasksets_per_point, 11u);
-  EXPECT_EQ(cfg.seed, 99u);
-  EXPECT_EQ(cfg.threads, 2u);
+  SweepSpec spec = experiment_sweep_spec(tiny_config());
+  apply_env_overrides(spec);
+  EXPECT_EQ(spec.slots_per_point, 11u);
+  EXPECT_EQ(spec.seed, 99u);
+  // Registry sweeps come with the overrides applied.
+  const SweepSpec fig = mcs::exp::find_sweep("fig2a")->make();
+  EXPECT_EQ(fig.slots_per_point, 11u);
+  EXPECT_EQ(fig.seed, 99u);
   unsetenv("MCS_TASKSETS");
   unsetenv("MCS_SEED");
-  unsetenv("MCS_THREADS");
 }
 
 TEST(Experiment, EnvOverridesRejectMalformedValues) {
   // Regression: "10x" used to parse as 10 and "abc" as seed 0 — silently.
   const auto expect_rejected = [](const char* name, const char* value) {
     setenv(name, value, 1);
-    ExperimentConfig cfg;
-    cfg.name = "env";
-    cfg.values = {0.5};
-    EXPECT_THROW(apply_env_overrides(cfg), mcs::support::ContractViolation)
+    SweepSpec spec;
+    spec.name = "env";
+    spec.values = {0.5};
+    EXPECT_THROW(apply_env_overrides(spec), mcs::support::ContractViolation)
         << name << "=" << value;
     unsetenv(name);
   };
@@ -168,16 +173,6 @@ TEST(Experiment, EnvOverridesRejectMalformedValues) {
   expect_rejected("MCS_SEED", "99 ");
   expect_rejected("MCS_SEED", "0x10");
   expect_rejected("MCS_SEED", "99999999999999999999999999");
-  expect_rejected("MCS_THREADS", "two");
-  expect_rejected("MCS_THREADS", "2.5");
-}
-
-TEST(Experiment, EnvOverridesAcceptZeroThreads) {
-  setenv("MCS_THREADS", "0", 1);  // 0 = hardware concurrency
-  ExperimentConfig cfg = tiny_config();
-  apply_env_overrides(cfg);
-  EXPECT_EQ(cfg.threads, 0u);
-  unsetenv("MCS_THREADS");
 }
 
 TEST(Figure2Configs, AllInsetsWellFormed) {
@@ -206,12 +201,12 @@ TEST(Experiment, NumTasksSweepParam) {
   ExperimentConfig cfg = tiny_config();
   cfg.sweep = SweepParam::kNumTasks;
   cfg.values = {2, 4};
-  const ExperimentResult result = run_experiment(cfg);
-  ASSERT_EQ(result.points.size(), 2u);
-  EXPECT_DOUBLE_EQ(result.points[0].x, 2.0);
-  EXPECT_DOUBLE_EQ(result.points[1].x, 4.0);
+  const std::vector<SweepRow> rows = run_rows(cfg);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_DOUBLE_EQ(rows[0].x, 2.0);
+  EXPECT_DOUBLE_EQ(rows[1].x, 4.0);
   // Both points ran the full task-set count.
-  EXPECT_EQ(result.points[0].tasksets, cfg.tasksets_per_point);
+  EXPECT_EQ(rows[0].ok_units, cfg.tasksets_per_point);
 }
 
 TEST(Experiment, SweepParamNames) {

@@ -1,12 +1,12 @@
 // End-to-end integration tests: generator -> analysis (all approaches) ->
-// simulator -> checker, plus cross-component consistency that none of the
+// simulator -> trace audit, plus cross-component consistency that none of the
 // per-module suites can see.
 #include <gtest/gtest.h>
 
 #include "analysis/schedulability.hpp"
+#include "check/trace_audit.hpp"
 #include "exp/experiment.hpp"
 #include "gen/generator.hpp"
-#include "sim/checker.hpp"
 #include "sim/engine.hpp"
 #include "sim/job_source.hpp"
 #include "support/rng.hpp"
@@ -62,8 +62,7 @@ TEST(Integration, FullPipelineOnOneTaskSet) {
         mcs::sim::synchronous_periodic_releases(marked, 500 * kTicksPerUnit);
     const auto trace = mcs::sim::simulate(marked, c.protocol, releases);
     EXPECT_TRUE(trace.all_deadlines_met()) << to_string(c.approach);
-    EXPECT_TRUE(
-        mcs::sim::check_trace(marked, c.protocol, trace).ok())
+    EXPECT_TRUE(mcs::check::audit_trace(marked, c.protocol, trace).clean())
         << to_string(c.approach);
   }
 }
@@ -95,9 +94,13 @@ TEST(Integration, ExperimentPointMatchesManualLoop) {
   cfg.values = {0.3};
   cfg.tasksets_per_point = 6;
   cfg.seed = 99;
-  cfg.threads = 1;
-  const auto result = mcs::exp::run_experiment(cfg);
-  ASSERT_EQ(result.points.size(), 1u);
+  const mcs::exp::SweepSpec spec = mcs::exp::experiment_sweep_spec(cfg);
+  mcs::exp::RunnerOptions options;
+  options.threads = 1;
+  const auto rows = mcs::exp::aggregate_outcomes(
+      spec, mcs::exp::run_sweep(spec, options).outcomes);
+  ASSERT_EQ(rows.size(), 1u);
+  ASSERT_EQ(rows[0].ok_units, cfg.tasksets_per_point);
 
   // Reproduce the harness's RNG discipline: one stream per (seed, point,
   // slot) tuple via derive_seed (see sweep_runner.hpp).
@@ -118,9 +121,10 @@ TEST(Integration, ExperimentPointMatchesManualLoop) {
                    ? std::size_t{1}
                    : std::size_t{0};
   }
-  EXPECT_EQ(result.points[0].schedulable_nps, ok_nps);
-  EXPECT_EQ(result.points[0].schedulable_wp, ok_wp);
-  EXPECT_EQ(result.points[0].schedulable_proposed, ok_prop);
+  // Metric columns: proposed, wp2016, nps, then the fallback counts.
+  EXPECT_EQ(rows[0].metric_sums[2], ok_nps);
+  EXPECT_EQ(rows[0].metric_sums[1], ok_wp);
+  EXPECT_EQ(rows[0].metric_sums[0], ok_prop);
 }
 
 TEST(Integration, MulticorePartitionAnalyzesPerCore) {

@@ -264,7 +264,8 @@ TEST_P(SimplexRandomBox, MatchesAnalyticBoxOptimum) {
     const double lo = rng.uniform(-10.0, 0.0);
     const double hi = lo + rng.uniform(0.0, 10.0);
     const double coef = rng.uniform(-5.0, 5.0);
-    const VarId v = m.add_continuous(lo, hi, "v" + std::to_string(i));
+    const VarId v = m.add_continuous(
+        lo, hi, std::string("v").append(std::to_string(i)));
     vars.push_back(v);
     obj += coef * LinExpr(v);
     expected += coef >= 0.0 ? coef * hi : coef * lo;

@@ -132,7 +132,8 @@ TEST(SparseKernelAdversarial, KleeMintyCubeSolvesExactly) {
   std::vector<VarId> x;
   for (std::size_t j = 0; j < n; ++j) {
     x.push_back(m.add_continuous(0.0, mcs::lp::kInfinity,
-                                 "x" + std::to_string(j + 1)));
+                                 std::string("x").append(
+                                     std::to_string(j + 1))));
   }
   double rhs = 1.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -168,11 +169,13 @@ TEST(SparseKernelAdversarial, EqualBoundsCorpusAgreesAndSkipsFixedColumns) {
     for (std::size_t j = 0; j < n; ++j) {
       const double lo = rng.uniform(0.0, 5.0);
       if (rng.uniform01() < 0.5) {
-        vars.push_back(m.add_continuous(lo, lo, "f" + std::to_string(j)));
+        vars.push_back(m.add_continuous(
+            lo, lo, std::string("f").append(std::to_string(j))));
         ++fixed;
       } else {
         vars.push_back(m.add_continuous(lo, lo + rng.uniform(1.0, 10.0),
-                                        "x" + std::to_string(j)));
+                                        std::string("x").append(
+                                            std::to_string(j))));
       }
     }
     for (std::size_t r = 0; r < 8; ++r) {
@@ -186,7 +189,7 @@ TEST(SparseKernelAdversarial, EqualBoundsCorpusAgreesAndSkipsFixedColumns) {
       }
       m.add_constraint(lhs, Relation::kLe,
                        rng.uniform(0.2, 0.8) * activity_hi,
-                       "r" + std::to_string(r));
+                       std::string("r").append(std::to_string(r)));
     }
     LinExpr obj;
     for (std::size_t j = 0; j < n; ++j) {

@@ -62,7 +62,8 @@ Model random_bounded_lp(Rng& rng, std::size_t vars, std::size_t rows) {
   for (std::size_t v = 0; v < vars; ++v) {
     const double lo = static_cast<double>(rng.uniform_int(0, 3));
     const double hi = lo + static_cast<double>(rng.uniform_int(1, 8));
-    xs.push_back(m.add_continuous(lo, hi, "x" + std::to_string(v)));
+    xs.push_back(m.add_continuous(
+        lo, hi, std::string("x").append(std::to_string(v))));
   }
   for (std::size_t r = 0; r < rows; ++r) {
     LinExpr lhs;

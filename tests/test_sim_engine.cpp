@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/checker.hpp"
+#include "check/trace_audit.hpp"
 #include "support/contracts.hpp"
 #include "sim/job_source.hpp"
 
@@ -11,7 +11,7 @@ namespace {
 using mcs::rt::Task;
 using mcs::rt::TaskSet;
 using mcs::rt::Time;
-using mcs::sim::check_trace;
+using mcs::check::audit_trace;
 using mcs::sim::CopyInOutcome;
 using mcs::sim::CpuAction;
 using mcs::sim::JobId;
@@ -54,7 +54,7 @@ TEST(SimSingleJob, ThreePhasePipelineUnderProposed) {
   EXPECT_EQ(trace.jobs[0].exec_start, 2);
   EXPECT_EQ(trace.jobs[0].completion, 8);
   EXPECT_EQ(trace.jobs[0].response_time(), 8);
-  EXPECT_TRUE(check_trace(tasks, Protocol::kProposed, trace).ok());
+  EXPECT_TRUE(audit_trace(tasks, Protocol::kProposed, trace).clean());
 }
 
 TEST(SimSingleJob, ResponseEqualsTotalDemandForIsolatedJob) {
@@ -73,7 +73,7 @@ TEST(SimSingleJob, ZeroMemoryPhases) {
       simulate(tasks, Protocol::kProposed, {{JobId{0, 0}, 0}});
   ASSERT_EQ(trace.jobs.size(), 1u);
   EXPECT_EQ(trace.jobs[0].response_time(), 4);
-  EXPECT_TRUE(check_trace(tasks, Protocol::kProposed, trace).ok());
+  EXPECT_TRUE(audit_trace(tasks, Protocol::kProposed, trace).clean());
 }
 
 TEST(SimSingleJob, LateReleaseStartsIdleInterval) {
@@ -103,7 +103,7 @@ TEST(SimPipeline, CopyInOverlapsExecution) {
   EXPECT_EQ(trace.intervals[2].copy_out_duration, 1);
   EXPECT_EQ(trace.jobs[0].completion, 8);   // copy-out A inside I_2
   EXPECT_EQ(trace.jobs[1].completion, 13);
-  EXPECT_TRUE(check_trace(tasks, Protocol::kProposed, trace).ok());
+  EXPECT_TRUE(audit_trace(tasks, Protocol::kProposed, trace).clean());
 }
 
 TEST(SimPipeline, WpAndProposedIdenticalWithoutLsTasks) {
@@ -144,7 +144,7 @@ TEST_F(Figure1Scenario, WpDoubleBlockingMissesDeadline) {
   const TaskSet tasks = make_tasks(false);
   const Trace trace =
       simulate(tasks, Protocol::kWasilyPellizzoni, releases_);
-  EXPECT_TRUE(check_trace(tasks, Protocol::kWasilyPellizzoni, trace).ok());
+  EXPECT_TRUE(audit_trace(tasks, Protocol::kWasilyPellizzoni, trace).clean());
   // hi completes at 13 > absolute deadline 12.
   EXPECT_EQ(trace.jobs[2].completion, 13);
   EXPECT_TRUE(trace.jobs[2].missed_deadline());
@@ -161,7 +161,7 @@ TEST_F(Figure1Scenario, NpsSingleBlockingMeetsDeadline) {
 TEST_F(Figure1Scenario, ProposedUrgentPromotionMeetsDeadline) {
   const TaskSet tasks = make_tasks(true);
   const Trace trace = simulate(tasks, Protocol::kProposed, releases_);
-  EXPECT_TRUE(check_trace(tasks, Protocol::kProposed, trace).ok());
+  EXPECT_TRUE(audit_trace(tasks, Protocol::kProposed, trace).clean());
   // lp2's load is invalidated; hi executes urgently in I_2 and completes
   // at 10 <= 12.
   EXPECT_EQ(trace.jobs[2].completion, 10);
@@ -192,7 +192,7 @@ TEST(SimCancellation, LsReleaseDuringLowerPriorityCopyInCancels) {
   // lo is re-loaded afterwards and still completes.
   EXPECT_TRUE(trace.jobs[0].completed());
   EXPECT_EQ(trace.jobs[0].copy_in_cancellations, 1u);
-  EXPECT_TRUE(check_trace(tasks, Protocol::kProposed, trace).ok());
+  EXPECT_TRUE(audit_trace(tasks, Protocol::kProposed, trace).clean());
 }
 
 TEST(SimCancellation, HigherPriorityCopyInIsNotCancelled) {
@@ -203,7 +203,7 @@ TEST(SimCancellation, HigherPriorityCopyInIsNotCancelled) {
                                {{JobId{0, 0}, 0}, {JobId{1, 0}, 3}});
   EXPECT_EQ(trace.intervals[0].copy_in_outcome, CopyInOutcome::kCompleted);
   EXPECT_FALSE(trace.jobs[1].became_urgent);
-  EXPECT_TRUE(check_trace(tasks, Protocol::kProposed, trace).ok());
+  EXPECT_TRUE(audit_trace(tasks, Protocol::kProposed, trace).clean());
 }
 
 TEST(SimCancellation, NlsReleaseNeverCancels) {
@@ -231,7 +231,7 @@ TEST(SimUrgent, PromotionWithoutCancellation) {
   EXPECT_EQ(trace.intervals[2].cpu_action, CpuAction::kUrgentExecute);
   EXPECT_EQ(trace.jobs[1].exec_start, 11 + 2);
   EXPECT_EQ(trace.jobs[1].completion, 11 + 2 + 3 + 1);
-  EXPECT_TRUE(check_trace(tasks, Protocol::kProposed, trace).ok());
+  EXPECT_TRUE(audit_trace(tasks, Protocol::kProposed, trace).clean());
 }
 
 TEST(SimUrgent, HighestPriorityLsReleasedWins) {
@@ -246,7 +246,7 @@ TEST(SimUrgent, HighestPriorityLsReleasedWins) {
   ASSERT_GE(trace.intervals.size(), 3u);
   EXPECT_TRUE(trace.jobs.at(2).became_urgent);   // S1 released at 6
   EXPECT_FALSE(trace.jobs.at(1).became_urgent);  // S2 served via DMA later
-  EXPECT_TRUE(check_trace(tasks, Protocol::kProposed, trace).ok());
+  EXPECT_TRUE(audit_trace(tasks, Protocol::kProposed, trace).clean());
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ TEST(SimNps, NonPreemptiveBlockingThenPriorityOrder) {
   EXPECT_EQ(trace.jobs[0].completion, 10);
   EXPECT_EQ(trace.jobs[2].completion, 14);
   EXPECT_EQ(trace.jobs[1].completion, 19);
-  EXPECT_TRUE(check_trace(tasks, Protocol::kNonPreemptive, trace).ok());
+  EXPECT_TRUE(audit_trace(tasks, Protocol::kNonPreemptive, trace).clean());
 }
 
 // ---------------------------------------------------------------------------

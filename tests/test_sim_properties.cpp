@@ -4,20 +4,20 @@
 // tests are the executable counterpart of the proofs in §IV-B.
 #include <gtest/gtest.h>
 
+#include "check/trace_audit.hpp"
 #include "gen/generator.hpp"
-#include "sim/checker.hpp"
 #include "sim/engine.hpp"
 #include "sim/job_source.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
+using mcs::check::audit_trace;
+using mcs::check::CheckReport;
 using mcs::gen::GeneratorConfig;
 using mcs::gen::generate_task_set;
 using mcs::rt::TaskSet;
 using mcs::rt::Time;
-using mcs::sim::check_trace;
-using mcs::sim::count_blocking_intervals;
 using mcs::sim::Protocol;
 using mcs::sim::random_sporadic_releases;
 using mcs::sim::simulate;
@@ -32,10 +32,10 @@ struct PropertyCase {
 
 class ProtocolProperties : public ::testing::TestWithParam<PropertyCase> {};
 
-std::string explain(const mcs::sim::CheckResult& result) {
+std::string explain(const CheckReport& report) {
   std::string out;
-  for (const auto& v : result.violations) {
-    out += v + "\n";
+  for (const auto& d : report.diagnostics) {
+    out += mcs::check::render(d) + "\n";
   }
   return out;
 }
@@ -61,8 +61,8 @@ TEST_P(ProtocolProperties, RandomTracesSatisfyAllInvariants) {
                             : random_sporadic_releases(tasks, horizon,
                                                        /*max_slack=*/0.8, rng);
   const Trace trace = simulate(tasks, protocol, releases);
-  const auto check = check_trace(tasks, protocol, trace);
-  EXPECT_TRUE(check.ok()) << explain(check);
+  const CheckReport report = audit_trace(tasks, protocol, trace);
+  EXPECT_TRUE(report.clean()) << explain(report);
 }
 
 std::vector<PropertyCase> make_cases() {
@@ -105,11 +105,9 @@ TEST_P(LsBlockingBound, AtMostOneBlockingInterval) {
   const auto releases =
       random_sporadic_releases(tasks, horizon, 1.0, rng);
   const Trace trace = simulate(tasks, Protocol::kProposed, releases);
-  for (const auto& job : trace.jobs) {
-    if (!job.completed() || job.ready_time != job.release) continue;
-    EXPECT_LE(count_blocking_intervals(tasks, trace, job), 1u)
-        << "job of task " << tasks[job.id.task].name;
-  }
+  // Property 4: no LS job blocked in more than one interval.
+  const CheckReport report = audit_trace(tasks, Protocol::kProposed, trace);
+  EXPECT_FALSE(report.has_rule("MCS-P009")) << explain(report);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LsBlockingBound,
@@ -133,10 +131,10 @@ TEST_P(NlsBlockingBound, AtMostTwoBlockingIntervals) {
   const auto releases =
       random_sporadic_releases(tasks, horizon, 1.0, rng);
   const Trace trace = simulate(tasks, Protocol::kWasilyPellizzoni, releases);
-  for (const auto& job : trace.jobs) {
-    if (!job.completed() || job.ready_time != job.release) continue;
-    EXPECT_LE(count_blocking_intervals(tasks, trace, job), 2u);
-  }
+  // Property 3: no job blocked in more than two intervals.
+  const CheckReport report =
+      audit_trace(tasks, Protocol::kWasilyPellizzoni, trace);
+  EXPECT_FALSE(report.has_rule("MCS-P010")) << explain(report);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NlsBlockingBound,

@@ -81,8 +81,10 @@ std::vector<std::string> run_client(svc::AdmissionService& service,
     std::string line;
     const double r = rng.uniform01();
     if (admitted.empty() || (r < 0.5 && admitted.size() < 3)) {
-      const std::string name =
-          "c" + std::to_string(client) + "t" + std::to_string(next_id);
+      const std::string name = std::string("c")
+                                   .append(std::to_string(client))
+                                   .append("t")
+                                   .append(std::to_string(next_id));
       const rt::Time exec = rng.uniform_int(100, 500);
       const rt::Time copy = rng.uniform_int(20, 150);
       const rt::Time period = rng.uniform_int(1500, 8000);

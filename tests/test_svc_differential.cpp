@@ -189,7 +189,7 @@ void fuzz_run(svc::AdmissionService& service, std::uint64_t seed, int ops,
 
     if (kind == kAdmit) {
       rt::Task t;
-      t.name = "t" + std::to_string(next_task_id++);
+      t.name = std::string("t").append(std::to_string(next_task_id++));
       t.exec = rng.uniform_int(50, 400);
       t.copy_in = rng.uniform_int(10, 120);
       t.copy_out = rng.uniform_int(10, 120);
