@@ -143,6 +143,13 @@ std::size_t entry_slot(FormulationCase fcase, bool ignore_ls) {
   return ignore_ls ? 3 : static_cast<std::size_t>(fcase);
 }
 
+/// The WP baseline's options: the caller's, with every LS flag ignored.
+AnalysisOptions wp_options(const AnalysisOptions& options) {
+  AnalysisOptions wp = options;
+  wp.ignore_ls = true;
+  return wp;
+}
+
 rt::TaskSet scaled(const rt::TaskSet& tasks, ScalingDimension dimension,
                    double factor) {
   rt::TaskSet result = tasks;
@@ -204,7 +211,6 @@ struct AnalysisEngine::Impl {
   std::vector<TaskBoundResult> bound_all(const rt::TaskSet& tasks,
                                          const AnalysisOptions& options);
   NpsTaskBound nps(const rt::TaskSet& tasks, rt::TaskIndex i);
-  WpResult wp(const rt::TaskSet& tasks, const AnalysisOptions& options);
   WpResult marked(const rt::TaskSet& tasks, const AnalysisOptions& options);
   ProposedResult proposed(const rt::TaskSet& tasks,
                           const AnalysisOptions& options,
@@ -453,26 +459,6 @@ NpsTaskBound AnalysisEngine::Impl::nps(const rt::TaskSet& tasks,
   return entry.nps;
 }
 
-WpResult AnalysisEngine::Impl::wp(const rt::TaskSet& tasks,
-                                  const AnalysisOptions& options) {
-  AnalysisOptions wp_options = options;
-  wp_options.ignore_ls = true;
-
-  WpResult result;
-  result.per_task = bound_all(tasks, wp_options);
-  result.schedulable = true;
-  for (rt::TaskIndex i = 0; i < tasks.size(); ++i) {
-    const TaskBoundResult& bound = result.per_task[i];
-    result.any_relaxation_fallback |= bound.used_relaxation_bound;
-    result.degraded |= bound.degraded;
-    result.total_milp_nodes += bound.milp_nodes;
-    if (!bound.schedulable) {
-      result.schedulable = false;
-    }
-  }
-  return result;
-}
-
 WpResult AnalysisEngine::Impl::marked(const rt::TaskSet& tasks,
                                       const AnalysisOptions& options) {
   WpResult result;
@@ -585,7 +571,7 @@ ApproachResult AnalysisEngine::Impl::dispatch(const rt::TaskSet& tasks,
       break;
     }
     case Approach::kWasilyPellizzoni: {
-      const WpResult r = wp(tasks, options);
+      const WpResult r = marked(tasks, wp_options(options));
       result.schedulable = r.schedulable;
       result.any_relaxation_fallback = r.any_relaxation_fallback;
       result.degraded = r.degraded;
@@ -627,7 +613,7 @@ NpsTaskBound AnalysisEngine::nps_bound(const rt::TaskSet& tasks,
 
 WpResult AnalysisEngine::analyze_wp(const rt::TaskSet& tasks,
                                     const AnalysisOptions& options) {
-  return impl_->wp(tasks, options);
+  return impl_->marked(tasks, wp_options(options));
 }
 
 WpResult AnalysisEngine::analyze_marked(const rt::TaskSet& tasks,
@@ -655,11 +641,8 @@ OpaResult AnalysisEngine::audsley_assign(const rt::TaskSet& tasks,
     switch (approach) {
       case Approach::kNonPreemptive:
         return impl_->nps(set, i).schedulable;
-      case Approach::kWasilyPellizzoni: {
-        AnalysisOptions wp = options;
-        wp.ignore_ls = true;
-        return impl_->bound(set, i, wp).schedulable;
-      }
+      case Approach::kWasilyPellizzoni:
+        return impl_->bound(set, i, wp_options(options)).schedulable;
       case Approach::kProposed:
         return impl_->bound(set, i, options).schedulable;
     }

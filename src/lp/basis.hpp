@@ -27,6 +27,8 @@ class EtaFile {
     entry_start_.assign(1, 0);
     entry_row_.clear();
     entry_value_.clear();
+    scratch_row_.resize(rows);
+    scratch_value_.resize(rows);
   }
 
   std::size_t rows() const noexcept { return rows_; }
@@ -39,6 +41,11 @@ class EtaFile {
   /// `alpha` (dense, size rows()).  Returns false — appending nothing —
   /// when the pivot element's magnitude is `min_pivot` or below.
   bool append(const double* alpha, std::size_t pivot_row, double min_pivot);
+
+  /// Appends the eta of a column that FTRANs to `pivot` times the unit
+  /// vector of `pivot_row` — what append() stores for such a column, in
+  /// O(1) instead of a scan of all rows.
+  void append_unit(std::size_t pivot_row, double pivot);
 
   /// x <- B^-1 x (dense vector of size rows()).
   void ftran(double* x) const;
@@ -53,6 +60,8 @@ class EtaFile {
   std::vector<std::size_t> entry_start_;  ///< size eta_count() + 1
   std::vector<std::uint32_t> entry_row_;
   std::vector<double> entry_value_;
+  std::vector<std::uint32_t> scratch_row_;  ///< size rows(), append() only
+  std::vector<double> scratch_value_;       ///< size rows(), append() only
 };
 
 }  // namespace mcs::lp

@@ -103,7 +103,7 @@ struct SimplexStats {
   /// Devex reference-framework resets (weight overflow; kDense: 0).
   std::size_t devex_resets = 0;
   /// Columns excluded from pricing scans because equal bounds (or a frozen
-  /// slack/artificial) pin them; counted once per pricing-list rebuild.
+  /// slack/artificial) pin them; counted once per primal or dual phase.
   std::size_t fixed_cols_skipped = 0;
 };
 

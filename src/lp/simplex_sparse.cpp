@@ -4,9 +4,23 @@
 // test.  Implements the same SimplexSolver::Impl contract as the dense
 // tableau kernel in simplex.cpp; see simplex_impl.hpp for the split.
 //
-// Per-pivot cost is O(eta entries + matrix nnz) against the dense kernel's
-// O(rows * total_cols): the delay MILPs are ~1% dense, so the revised
-// update wins by orders of magnitude on the branch & bound hot path.
+// Per-pivot cost is O(eta entries + rows + pivot-row nonzeros) against the
+// dense kernel's O(rows * total_cols): the delay MILPs are ~1% dense, so
+// the revised update wins by orders of magnitude on the branch & bound hot
+// path.  No pass of an iteration sweeps all columns:
+//  * fill_alpha_row lists the columns its CSR row adds touch (alpha_nz());
+//    the dual candidate scan (which also takes the row max-abs for the
+//    relative pivot floor) and pivot_update's reduced-cost / Devex sweep
+//    walk that list, and the next fill clears only it;
+//  * the bound-flipping ratio test finds the first breakpoint by one scan
+//    and heapifies the rest only when it flips, so it never sorts them;
+//  * primal pricing visits attract_, the live nonbasic columns whose
+//    reduced cost violates optimality, updated per pivot on the pivot
+//    row's nonzeros;
+//  * refactorization places slack and artificial basis columns straight
+//    into their own rows (unit etas) before any structural eta exists.
+// Each of these makes exactly the choices of a full sweep, so pivots,
+// bound flips and refactorizations are those of the plain algorithm.
 //
 // Numerics: the eta file accumulates round-off, so the kernel (a) rebuilds
 // the factorization on an eta-count / eta-entry budget, (b) recomputes
@@ -17,7 +31,9 @@
 // authoritative.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "lp/basis.hpp"
@@ -36,6 +52,8 @@ constexpr double kTinyPivot = 1e-12;
 constexpr double kDevexResetThreshold = 1e7;
 /// Relative acceptance floor for pivots chosen during refactorization.
 constexpr double kRefactorPivotRel = 1e-9;
+/// "Not in the list" marker of the per-column list positions.
+constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
 struct SparseKernel final : SimplexSolver::Impl {
   // Static data (built once from the model).
@@ -79,13 +97,28 @@ struct SparseKernel final : SimplexSolver::Impl {
   std::size_t pricing_cursor_ = 0;
   double rhs_scale_ = 1.0;
   const std::vector<double>* active_cost_ = nullptr;
+  // Primal pricing state, set up by start_pricing() for one p_iterate call
+  // (upper_ does not change within it).  live_cols_ lists the columns with
+  // upper_ > 0 ascending, live_pos_ maps a column to its index there.
+  // attract_ holds every live nonbasic column whose reduced cost violates
+  // optimality — exactly the columns a full pricing scan would score —
+  // and attract_slot_ maps a column to its index in attract_ (kNoSlot when
+  // absent).  A pivot changes dj_ only on the pivot row's nonzeros and
+  // status only for the entering and leaving columns, so the set is kept
+  // up to date per pivot instead of rescanning every column.
   std::vector<std::size_t> live_cols_;
+  std::vector<std::uint32_t> live_pos_;
+  std::vector<std::uint32_t> attract_;
+  std::vector<std::uint32_t> attract_slot_;
 
   // Scratch (sized rows_ / total_cols_; reused to avoid allocation).
   std::vector<double> work_;
   std::vector<double> rho_;
   std::vector<double> y_;
-  std::vector<double> alpha_row_;    // size total_cols_
+  std::vector<double> alpha_row_;    // size total_cols_, zero off alpha_nz()
+  std::vector<std::uint32_t> alpha_cols_;  // size total_cols_ + 1
+  std::size_t alpha_count_ = 0;      // alpha_cols_[0, count): columns touched
+  std::vector<char> alpha_mark_;     // size total_cols_, 1 on alpha_nz()
   struct Cand {
     double ratio;
     std::size_t j;
@@ -93,7 +126,6 @@ struct SparseKernel final : SimplexSolver::Impl {
   };
   std::vector<Cand> cands_;          // dual ratio-test breakpoints
   std::vector<std::size_t> flips_;   // dual long-step bound flips
-  std::vector<std::size_t> rf_order_;
   std::vector<std::size_t> rf_structural_rows_;
   std::vector<char> rf_placed_;
   std::vector<std::size_t> rf_new_basis_;
@@ -111,17 +143,27 @@ struct SparseKernel final : SimplexSolver::Impl {
   bool maybe_refactor(bool force);
   void compute_xb();
   void compute_dj();
-  void rebuild_live_cols();
+  void start_pricing();
+  void refresh_attract();
+  void update_attract(std::size_t j);
   void scatter_internal_column(std::size_t c, std::vector<double>& out) const;
   double current_internal_objective() const;
   bool primal_feasible() const;
   std::size_t choose_entering(bool bland);
   void fill_alpha_row();             // from rho_, into alpha_row_
+  /// The columns the last fill_alpha_row touched: alpha_row_ is zero off
+  /// this list, so the passes over the pivot row walk it.
+  std::span<const std::uint32_t> alpha_nz() const {
+    return {alpha_cols_.data(), alpha_count_};
+  }
   bool pivot_update(std::size_t p, std::size_t q,
                     const std::vector<double>& alpha, double entering_value,
                     VarStatus leaving_status, bool have_alpha_row,
                     bool use_devex);
   SolveStatus p_iterate(bool phase_one, std::size_t& iterations);
+  std::size_t choose_leaving_row(double& row_tol, bool& below) const;
+  std::size_t dual_ratio_test(std::size_t row, bool below, double row_tol,
+                              bool bland);
   SolveStatus dual_reoptimize(std::size_t& iterations);
   bool drive_out_artificials();
   void freeze_artificials();
@@ -203,6 +245,8 @@ void SparseKernel::build_static() {
   art_sign_.assign(rows_, 1.0);
   recompute_eff_rhs();
   alpha_row_.assign(total_cols_, 0.0);
+  alpha_mark_.assign(total_cols_, 0);
+  alpha_cols_.assign(total_cols_ + 1, 0);
   work_.assign(rows_, 0.0);
   rho_.assign(rows_, 0.0);
   y_.assign(rows_, 0.0);
@@ -274,18 +318,42 @@ bool SparseKernel::refactorize() {
   last_refactor_changed_basis_ = false;
   dj_valid_ = false;
 
-  // Process basis columns cheapest-first: artificials and slacks are (near)
-  // unit vectors whose etas are trivial; structural columns go by ascending
-  // nnz so early etas stay thin and later FTRANs through them stay cheap.
-  std::vector<std::size_t>& order = rf_order_;
-  order.clear();
+  rf_placed_.assign(rows_, 0);
+  std::vector<char>& placed = rf_placed_;
+  rf_new_basis_.assign(rows_, npos);
+  std::vector<std::size_t>& new_basis = rf_new_basis_;
+  const std::size_t entries_before = eta_.eta_entries();
+
+  // Unit basis columns go first, artificials then slacks, so the file holds
+  // only diagonal etas while they are placed.  FTRAN through those leaves
+  // `coef * e_u` unchanged while row u is free, and the pivot search then
+  // finds u; once u is taken the column is dependent and dropped.  So each
+  // is placed directly, without the dense scatter / FTRAN / row scan.
+  const auto place_unit = [&](std::size_t r, std::size_t u, double coef) {
+    if (placed[u] || coef == 0.0) {
+      last_refactor_changed_basis_ = true;  // column dropped from the basis
+      return;
+    }
+    eta_.append_unit(u, coef);
+    placed[u] = true;
+    new_basis[u] = basis_[r];
+    if (u != r) last_refactor_changed_basis_ = true;
+  };
   for (std::size_t r = 0; r < rows_; ++r) {
-    if (basis_[r] >= first_artificial_) order.push_back(r);
+    if (basis_[r] >= first_artificial_) {
+      const std::size_t u = basis_[r] - first_artificial_;
+      place_unit(r, u, art_sign_[u]);
+    }
   }
   for (std::size_t r = 0; r < rows_; ++r) {
     const std::size_t c = basis_[r];
-    if (c >= structural_ && c < first_artificial_) order.push_back(r);
+    if (c >= structural_ && c < first_artificial_) {
+      place_unit(r, c - structural_, slack_coef_[c - structural_]);
+    }
   }
+
+  // Structural columns go by ascending nnz so early etas stay thin and
+  // later FTRANs through them stay cheap.
   std::vector<std::size_t>& structural_rows = rf_structural_rows_;
   structural_rows.clear();
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -296,22 +364,10 @@ bool SparseKernel::refactorize() {
                      return mat_.column_nnz(basis_[a]) <
                             mat_.column_nnz(basis_[b]);
                    });
-  order.insert(order.end(), structural_rows.begin(), structural_rows.end());
-
-  rf_placed_.assign(rows_, 0);
-  std::vector<char>& placed = rf_placed_;
-  rf_new_basis_.assign(rows_, npos);
-  std::vector<std::size_t>& new_basis = rf_new_basis_;
-  const std::size_t entries_before = eta_.eta_entries();
-  for (const std::size_t r : order) {
+  for (const std::size_t r : structural_rows) {
     const std::size_t c = basis_[r];
     work_.assign(rows_, 0.0);
-    double colmax = 1.0;
-    if (c < cols_) {
-      colmax = mat_.scatter_column(c, work_.data());
-    } else {
-      work_[c - first_artificial_] = art_sign_[c - first_artificial_];
-    }
+    const double colmax = mat_.scatter_column(c, work_.data());
     eta_.ftran(work_.data());
     std::size_t best_p = npos;
     double best_v = 0.0;
@@ -420,14 +476,56 @@ void SparseKernel::compute_dj() {
   dj_valid_ = active_cost_ == &cost_;
 }
 
-void SparseKernel::rebuild_live_cols() {
+/// One pass over all columns at the start of a primal phase: reset the
+/// Devex weights, list the live columns and collect the attractive ones.
+void SparseKernel::start_pricing() {
+  devex_w_.assign(total_cols_, 1.0);
+  devex_max_ = 1.0;
   live_cols_.clear();
+  attract_.clear();
+  live_pos_.assign(total_cols_, kNoSlot);
+  attract_slot_.assign(total_cols_, kNoSlot);
   for (std::size_t j = 0; j < total_cols_; ++j) {
     if (upper_[j] > 0.0) {
+      live_pos_[j] = static_cast<std::uint32_t>(live_cols_.size());
       live_cols_.push_back(j);
+      update_attract(j);
     }
   }
   stats_.fixed_cols_skipped += total_cols_ - live_cols_.size();
+}
+
+/// Rebuilds attract_ after dj_ was recomputed wholesale.
+void SparseKernel::refresh_attract() {
+  for (const std::uint32_t j : attract_) {
+    attract_slot_[j] = kNoSlot;
+  }
+  attract_.clear();
+  for (const std::size_t j : live_cols_) {
+    update_attract(j);
+  }
+}
+
+/// Puts column j into attract_ or takes it out, from its current status
+/// and reduced cost.
+void SparseKernel::update_attract(std::size_t j) {
+  bool attractive = false;
+  if (upper_[j] > 0.0 && status_[j] != VarStatus::kBasic) {
+    const double violation =
+        status_[j] == VarStatus::kAtLower ? -dj_[j] : dj_[j];
+    attractive = violation > opt_.reduced_cost_tol;
+  }
+  const std::uint32_t slot = attract_slot_[j];
+  if (attractive && slot == kNoSlot) {
+    attract_slot_[j] = static_cast<std::uint32_t>(attract_.size());
+    attract_.push_back(static_cast<std::uint32_t>(j));
+  } else if (!attractive && slot != kNoSlot) {
+    const std::uint32_t last = attract_.back();
+    attract_[slot] = last;
+    attract_slot_[last] = slot;
+    attract_.pop_back();
+    attract_slot_[j] = kNoSlot;
+  }
 }
 
 double SparseKernel::current_internal_objective() const {
@@ -457,65 +555,72 @@ bool SparseKernel::primal_feasible() const {
 }
 
 /// Devex pricing over a rotating partial-pricing window of the live list;
-/// Bland mode scans the whole list ascending and takes the first violation.
+/// Bland mode takes the first violation in ascending column order.  Only
+/// attract_ is visited: it holds exactly the columns the scan would score.
+/// The choice is the scan's: the live list is read as rotated to start at
+/// the pricing cursor and cut into chunks; the first chunk holding a
+/// scored column wins, and within it the best score, ties to the earliest
+/// column in scan order.
 std::size_t SparseKernel::choose_entering(bool bland) {
+  if (attract_.empty()) return npos;
   if (bland) {
-    for (const std::size_t j : live_cols_) {
-      if (status_[j] == VarStatus::kBasic) continue;
-      const double violation =
-          status_[j] == VarStatus::kAtLower ? -dj_[j] : dj_[j];
-      if (violation > opt_.reduced_cost_tol) return j;
-    }
-    return npos;
+    return *std::min_element(attract_.begin(), attract_.end());
   }
-  const std::size_t n = live_cols_.size();
-  if (n == 0) return npos;
   // Partial pricing pays only when the live list is large: on small models
   // a narrow window picks weak entering columns, which costs extra pivots
   // AND lands on worse vertices for the MILP branching above.  The floor
   // makes pricing exhaustive below ~2k columns.
+  const std::size_t n = live_cols_.size();
   const std::size_t seg = std::max<std::size_t>(2048, n / 8);
-  std::size_t idx = pricing_cursor_ % n;
-  std::size_t scanned = 0;
-  while (scanned < n) {
-    std::size_t best = npos;
-    double best_score = 0.0;
-    const std::size_t chunk = std::min(seg, n - scanned);
-    for (std::size_t k = 0; k < chunk; ++k, ++scanned) {
-      const std::size_t j = live_cols_[idx];
-      if (++idx >= n) idx = 0;
-      if (status_[j] == VarStatus::kBasic) continue;
-      const double violation =
-          status_[j] == VarStatus::kAtLower ? -dj_[j] : dj_[j];
-      if (violation > opt_.reduced_cost_tol) {
-        const double score = violation * violation / devex_w_[j];
-        if (score > best_score) {
-          best_score = score;
-          best = j;
-        }
-      }
-    }
-    if (best != npos) {
-      pricing_cursor_ = idx;
-      return best;
+  const std::size_t start = pricing_cursor_ % n;
+  std::size_t best = npos;
+  std::size_t best_chunk = npos;
+  std::size_t best_rot = 0;
+  double best_score = 0.0;
+  for (const std::uint32_t j : attract_) {
+    const double violation =
+        status_[j] == VarStatus::kAtLower ? -dj_[j] : dj_[j];
+    const double score = violation * violation / devex_w_[j];
+    if (!(score > 0.0)) continue;
+    const std::size_t pos = live_pos_[j];
+    const std::size_t rot = pos >= start ? pos - start : pos + n - start;
+    const std::size_t chunk = rot / seg;
+    if (chunk < best_chunk ||
+        (chunk == best_chunk &&
+         (score > best_score || (score == best_score && rot < best_rot)))) {
+      best = j;
+      best_chunk = chunk;
+      best_rot = rot;
+      best_score = score;
     }
   }
-  return npos;
+  if (best != npos) {
+    pricing_cursor_ = (start + std::min(n, (best_chunk + 1) * seg)) % n;
+  }
+  return best;
 }
 
 /// alpha_row_[j] = (B^-1 A_j)[p] for every internal column, given
 /// rho_ = BTRAN(e_p).  One sequential CSR pass over the rows where rho is
 /// nonzero (a column-major gather here costs a cache line per column) plus
-/// the implicit artificial block.
+/// the implicit artificial block.  alpha_nz() lists every column written;
+/// the row is zero elsewhere, so the passes over it walk that list, and
+/// the next fill clears only it.
 void SparseKernel::fill_alpha_row() {
-  std::fill_n(alpha_row_.data(), cols_, 0.0);
+  for (const std::uint32_t j : alpha_nz()) {
+    alpha_row_[j] = 0.0;
+    alpha_mark_[j] = 0;
+  }
+  std::size_t count = 0;
   for (std::size_t r = 0; r < rows_; ++r) {
     const double rr = rho_[r];
-    if (rr != 0.0) {
-      mat_.add_row_scaled(r, rr, alpha_row_.data());
-    }
+    if (rr == 0.0) continue;
+    count = mat_.add_row_scaled(r, rr, alpha_row_.data(), alpha_mark_.data(),
+                                alpha_cols_.data(), count);
     alpha_row_[first_artificial_ + r] = rr * art_sign_[r];
+    alpha_cols_[count++] = static_cast<std::uint32_t>(first_artificial_ + r);
   }
+  alpha_count_ = count;
 }
 
 /// Executes one basis change: entering column q (FTRANed into `alpha`)
@@ -535,10 +640,12 @@ bool SparseKernel::pivot_update(std::size_t p, std::size_t q,
   const double dir = status_[q] == VarStatus::kAtLower ? 1.0 : -1.0;
   const double step = std::abs(
       entering_value - (status_[q] == VarStatus::kAtLower ? 0.0 : upper_[q]));
+  // Subtracting +0.0 leaves any value bit-identical, so zero entries of
+  // alpha need no branch; row p is overwritten after the loop.
+  const double shift = dir * step;
   for (std::size_t r = 0; r < rows_; ++r) {
-    if (r != p && alpha[r] != 0.0) {
-      xb_[r] -= dir * step * alpha[r];
-    }
+    const double a = alpha[r];
+    xb_[r] -= a != 0.0 ? shift * a : 0.0;
   }
   xb_[p] = entering_value;
 
@@ -552,7 +659,7 @@ bool SparseKernel::pivot_update(std::size_t p, std::size_t q,
   const double dq = dj_[q];
   const double inv_piv = 1.0 / alpha[p];
   const double wq = use_devex ? devex_w_[q] : 0.0;
-  for (std::size_t j = 0; j < total_cols_; ++j) {
+  for (const std::uint32_t j : alpha_nz()) {
     const double ar = alpha_row_[j];
     if (ar == 0.0) continue;
     const double ratio = ar * inv_piv;
@@ -594,9 +701,7 @@ bool SparseKernel::pivot_update(std::size_t p, std::size_t q,
 }
 
 SolveStatus SparseKernel::p_iterate(bool phase_one, std::size_t& iterations) {
-  rebuild_live_cols();
-  devex_w_.assign(total_cols_, 1.0);
-  devex_max_ = 1.0;
+  start_pricing();
   std::size_t stall_retries = 0;
   for (;;) {
     if (iterations >= opt_.max_iterations) {
@@ -612,6 +717,7 @@ SolveStatus SparseKernel::p_iterate(bool phase_one, std::size_t& iterations) {
         // restore feasibility — let the caller restart authoritatively.
         return SolveStatus::kIterationLimit;
       }
+      refresh_attract();
     }
     const std::size_t q = choose_entering(bland);
     if (q == npos) {
@@ -675,6 +781,7 @@ SolveStatus SparseKernel::p_iterate(bool phase_one, std::size_t& iterations) {
       }
       status_[q] = status_[q] == VarStatus::kAtLower ? VarStatus::kAtUpper
                                                      : VarStatus::kAtLower;
+      update_attract(q);
       ++stats_.bound_flips;
       continue;
     }
@@ -682,6 +789,7 @@ SolveStatus SparseKernel::p_iterate(bool phase_one, std::size_t& iterations) {
     const double entering_start =
         status_[q] == VarStatus::kAtLower ? 0.0 : upper_[q];
     const double entering_value = entering_start + dir * best_t;
+    const std::size_t leaving = basis_[leave_row];
     if (!pivot_update(leave_row, q, work_, entering_value, leave_status,
                       /*have_alpha_row=*/false, /*use_devex=*/!bland)) {
       if (++stall_retries > 2) return SolveStatus::kIterationLimit;
@@ -689,10 +797,157 @@ SolveStatus SparseKernel::p_iterate(bool phase_one, std::size_t& iterations) {
       if (!factor_valid_) return SolveStatus::kIterationLimit;
       compute_dj();
       compute_xb();
+      refresh_attract();
       continue;
     }
     stall_retries = 0;
+    for (const std::uint32_t j : alpha_nz()) {
+      update_attract(j);
+    }
+    update_attract(q);
+    update_attract(leaving);
   }
+}
+
+/// Most-violated basic variable (scale-relative threshold, same rationale
+/// as the dense kernel): returns its row, or npos when xb is primal
+/// feasible, and sets the row's tolerance and which bound it violates.
+std::size_t SparseKernel::choose_leaving_row(double& row_tol,
+                                             bool& below) const {
+  // A violation v > tol is the same test as v - tol > 0 in IEEE
+  // arithmetic, and worst >= 0, so each bound takes one comparison.
+  std::size_t row = npos;
+  double worst = 0.0;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const double x = xb_[r];
+    const double ub = upper_[basis_[r]];
+    const bool boxed = std::isfinite(ub);
+    const double scale = 1.0 + std::abs(x) + (boxed ? ub : 0.0);
+    const double tol = opt_.feasibility_tol * scale;
+    if (-x - tol > worst) {
+      worst = -x - tol;
+      row = r;
+      row_tol = tol;
+      below = true;
+    }
+    if (boxed && x - ub - tol > worst) {
+      worst = x - ub - tol;
+      row = r;
+      row_tol = tol;
+      below = false;
+    }
+  }
+  return row;
+}
+
+/// Dual ratio test on the pivot row in alpha_row_ for the variable basic
+/// in `row`, which violates its lower (`below`) or upper bound.  Returns
+/// the entering column, after applying the bound flips the long step
+/// takes, or npos on an infeasibility signal (state untouched).
+std::size_t SparseKernel::dual_ratio_test(std::size_t row, bool below,
+                                          double row_tol, bool bland) {
+  // Candidate entering columns: correct sign to move the leaving variable
+  // back to its violated bound while preserving dual feasibility up to
+  // each candidate's breakpoint |dj| / |alpha|.  Candidates below a
+  // relative pivot floor max(pivot_tol, 1e-9 * row max-abs) are excluded;
+  // the max-abs is taken in the same pass, so the pass keeps everything
+  // above pivot_tol and the floor is applied after.
+  //
+  // Both passes append branch-free (write every entry, advance past the
+  // kept ones): whether an entry is kept does not follow a pattern.  A
+  // kept alpha is nonzero, so the sign test reads: below wants alpha < 0
+  // at the lower bound and alpha > 0 at the upper bound, above the reverse.
+  std::vector<Cand>& cands = cands_;
+  cands.resize(alpha_count_ + 1);
+  std::size_t n = 0;
+  double row_mag = 0.0;
+  for (const std::uint32_t j : alpha_nz()) {
+    const double alpha = alpha_row_[j];
+    const double mag = std::abs(alpha);
+    row_mag = std::max(row_mag, mag);
+    const VarStatus st = status_[j];
+    const bool keep = (mag > opt_.pivot_tol) & (st != VarStatus::kBasic) &
+                      (upper_[j] > 0.0) &
+                      (((st == VarStatus::kAtLower) == (alpha < 0.0)) ==
+                       below);
+    cands[n].j = j;
+    cands[n].mag = mag;
+    n += static_cast<std::size_t>(keep);
+  }
+  const double alpha_floor = std::max(opt_.pivot_tol, 1e-9 * row_mag);
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const Cand c = cands[k];
+    cands[kept] = {std::abs(dj_[c.j]) / c.mag, c.j, c.mag};
+    kept += static_cast<std::size_t>(c.mag > alpha_floor);
+  }
+  cands.resize(kept);
+  // No candidate: as in the dense kernel this can be a genuine Farkas row
+  // or an artifact of the pivot floor — warm callers never trust it.
+  if (cands.empty()) return npos;
+  if (bland) {
+    // Smallest candidate index, no long step.
+    return std::min_element(cands.begin(), cands.end(),
+                            [](const Cand& a, const Cand& b) {
+                              return a.j < b.j;
+                            })->j;
+  }
+
+  // Bound-flipping ratio test: walk breakpoints in increasing (ratio, j);
+  // while flipping a boxed candidate bound-to-bound still leaves the
+  // leaving variable violated, take the flip (no pivot, no eta) and keep
+  // going.  The first candidate that would overshoot pivots.  The walk
+  // usually stops at the first or second breakpoint, so the first is
+  // found by one scan and the rest are heapified only if it flips, then
+  // popped lazily; the order is total, hence the same as a sort's.
+  const auto later = [](const Cand& a, const Cand& b) {
+    if (a.ratio != b.ratio) return a.ratio > b.ratio;
+    return a.j > b.j;
+  };
+  std::iter_swap(std::max_element(cands.begin(), cands.end(), later),
+                 cands.end() - 1);
+  const double target = below ? 0.0 : upper_[basis_[row]];
+  double residual = std::abs(xb_[row] - target);
+  std::vector<std::size_t>& flips = flips_;
+  flips.clear();
+  std::size_t chosen = npos;
+  for (auto end = cands.end(); end != cands.begin(); --end) {
+    if (end == cands.end() - 1) {
+      std::make_heap(cands.begin(), end, later);
+    }
+    if (end != cands.end()) {
+      std::pop_heap(cands.begin(), end, later);
+    }
+    const Cand& cand = end[-1];
+    const double u = upper_[cand.j];
+    if (std::isfinite(u) && residual - cand.mag * u > row_tol) {
+      flips.push_back(cand.j);
+      residual -= cand.mag * u;
+      continue;
+    }
+    chosen = cand.j;
+    break;
+  }
+  // Flipping everything still leaves the row violated: infeasibility
+  // signal.  The flips are NOT applied — state stays consistent for the
+  // caller's cold fallback.
+  if (chosen == npos) return npos;
+  if (!flips.empty()) {
+    work_.assign(rows_, 0.0);
+    for (const std::size_t j : flips) {
+      const double shift =
+          status_[j] == VarStatus::kAtLower ? upper_[j] : -upper_[j];
+      mat_.axpy_column(j, shift, work_.data());
+      status_[j] = status_[j] == VarStatus::kAtLower ? VarStatus::kAtUpper
+                                                     : VarStatus::kAtLower;
+    }
+    eta_.ftran(work_.data());
+    for (std::size_t r = 0; r < rows_; ++r) {
+      xb_[r] -= work_[r];
+    }
+    stats_.bound_flips += flips.size();
+  }
+  return chosen;
 }
 
 /// Dual simplex with a bound-flipping (long-step) ratio test.  Same entry
@@ -700,7 +955,9 @@ SolveStatus SparseKernel::p_iterate(bool phase_one, std::size_t& iterations) {
 /// returns kOptimal on primal feasibility, kInfeasible on an (uncertified)
 /// infeasibility signal, kIterationLimit when the caller should go cold.
 SolveStatus SparseKernel::dual_reoptimize(std::size_t& iterations) {
-  rebuild_live_cols();
+  // Fixed columns never enter: the ratio test skips upper_[j] == 0.
+  stats_.fixed_cols_skipped += static_cast<std::size_t>(std::count_if(
+      upper_.begin(), upper_.end(), [](double u) { return !(u > 0.0); }));
   std::size_t stall_retries = 0;
   for (;;) {
     if (iterations >= opt_.max_iterations) {
@@ -713,30 +970,9 @@ SolveStatus SparseKernel::dual_reoptimize(std::size_t& iterations) {
       compute_xb();
     }
 
-    // Most-violated basic variable leaves (scale-relative threshold, same
-    // rationale as the dense kernel).
-    std::size_t row = npos;
-    double worst = 0.0;
     double row_tol = 0.0;
     bool below = true;
-    for (std::size_t r = 0; r < rows_; ++r) {
-      const double x = xb_[r];
-      const double ub = upper_[basis_[r]];
-      const double scale = 1.0 + std::abs(x) + (std::isfinite(ub) ? ub : 0.0);
-      const double tol = opt_.feasibility_tol * scale;
-      if (-x > tol && -x - tol > worst) {
-        worst = -x - tol;
-        row = r;
-        row_tol = tol;
-        below = true;
-      }
-      if (std::isfinite(ub) && x - ub > tol && x - ub - tol > worst) {
-        worst = x - ub - tol;
-        row = r;
-        row_tol = tol;
-        below = false;
-      }
-    }
+    const std::size_t row = choose_leaving_row(row_tol, below);
     if (row == npos) {
       return SolveStatus::kOptimal;
     }
@@ -745,85 +981,9 @@ SolveStatus SparseKernel::dual_reoptimize(std::size_t& iterations) {
     rho_[row] = 1.0;
     eta_.btran(rho_.data());
     fill_alpha_row();
-    double row_mag = 0.0;
-    for (std::size_t j = 0; j < total_cols_; ++j) {
-      row_mag = std::max(row_mag, std::abs(alpha_row_[j]));
-    }
-    const double alpha_floor = std::max(opt_.pivot_tol, 1e-9 * row_mag);
-
-    // Candidate entering columns: correct sign to move the leaving
-    // variable back to its violated bound while preserving dual
-    // feasibility up to each candidate's breakpoint |dj| / |alpha|.
-    std::vector<Cand>& cands = cands_;
-    cands.clear();
-    for (const std::size_t j : live_cols_) {
-      if (status_[j] == VarStatus::kBasic) continue;
-      const double alpha = alpha_row_[j];
-      if (std::abs(alpha) <= alpha_floor) continue;
-      const bool at_lower = status_[j] == VarStatus::kAtLower;
-      const bool candidate =
-          below ? (at_lower ? alpha < 0.0 : alpha > 0.0)
-                : (at_lower ? alpha > 0.0 : alpha < 0.0);
-      if (!candidate) continue;
-      cands.push_back(
-          {std::abs(dj_[j]) / std::abs(alpha), j, std::abs(alpha)});
-      if (bland) break;  // smallest candidate index, no long step
-    }
-    if (cands.empty()) {
-      // As in the dense kernel this can be a genuine Farkas row or an
-      // artifact of the pivot floor — warm callers never trust it.
+    const std::size_t chosen = dual_ratio_test(row, below, row_tol, bland);
+    if (chosen == npos) {
       return SolveStatus::kInfeasible;
-    }
-
-    std::size_t chosen = npos;
-    if (bland) {
-      chosen = cands.front().j;
-    } else {
-      // Bound-flipping ratio test: walk breakpoints in increasing ratio;
-      // while flipping a boxed candidate bound-to-bound still leaves the
-      // leaving variable violated, take the flip (no pivot, no eta) and
-      // keep going.  The first candidate that would overshoot pivots.
-      std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-        if (a.ratio != b.ratio) return a.ratio < b.ratio;
-        return a.j < b.j;
-      });
-      const double target = below ? 0.0 : upper_[basis_[row]];
-      double residual = std::abs(xb_[row] - target);
-      std::vector<std::size_t>& flips = flips_;
-      flips.clear();
-      for (const Cand& cand : cands) {
-        const double u = upper_[cand.j];
-        if (std::isfinite(u) && residual - cand.mag * u > row_tol) {
-          flips.push_back(cand.j);
-          residual -= cand.mag * u;
-          continue;
-        }
-        chosen = cand.j;
-        break;
-      }
-      if (chosen == npos) {
-        // Flipping everything still leaves the row violated: infeasibility
-        // signal.  The flips are NOT applied — state stays consistent for
-        // the caller's cold fallback.
-        return SolveStatus::kInfeasible;
-      }
-      if (!flips.empty()) {
-        work_.assign(rows_, 0.0);
-        for (const std::size_t j : flips) {
-          const double shift = status_[j] == VarStatus::kAtLower
-                                   ? upper_[j]
-                                   : -upper_[j];
-          mat_.axpy_column(j, shift, work_.data());
-          status_[j] = status_[j] == VarStatus::kAtLower
-                           ? VarStatus::kAtUpper
-                           : VarStatus::kAtLower;
-        }
-        eta_.ftran(work_.data());
-        for (std::size_t r = 0; r < rows_; ++r) {
-          xb_[r] -= work_[r];
-        }
-        stats_.bound_flips += flips.size();
-      }
     }
 
     ++iterations;
@@ -862,13 +1022,14 @@ bool SparseKernel::drive_out_artificials() {
     rho_[r] = 1.0;
     eta_.btran(rho_.data());
     fill_alpha_row();
+    // Smallest eligible non-artificial index.
     std::size_t replacement = npos;
-    for (std::size_t j = 0; j < first_artificial_; ++j) {
+    for (const std::uint32_t j : alpha_nz()) {
+      if (j >= first_artificial_ || j >= replacement) continue;
       if (status_[j] == VarStatus::kBasic) continue;
       if (upper_[j] <= 0.0) continue;
       if (std::abs(alpha_row_[j]) > opt_.pivot_tol) {
         replacement = j;
-        break;
       }
     }
     if (replacement == npos) {

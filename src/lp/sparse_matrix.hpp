@@ -70,12 +70,23 @@ class SparseMatrix {
   }
 
   /// acc += scale * (row r of A) over the row-major mirror: one sequential
-  /// pass instead of a strided gather across every column.
-  void add_row_scaled(std::size_t r, double scale, double* acc) const {
+  /// pass instead of a strided gather across every column.  Each column
+  /// the row touches for the first time (mark[c] == 0) is marked and
+  /// appended to touched[count..], so the caller can later visit — and
+  /// clear — exactly the entries it accumulated into.  Returns the new
+  /// count.  `touched` must have room for one entry past every column.
+  std::size_t add_row_scaled(std::size_t r, double scale, double* acc,
+                             char* mark, std::uint32_t* touched,
+                             std::size_t count) const {
     const std::size_t end = row_start_[r + 1];
     for (std::size_t k = row_start_[r]; k < end; ++k) {
-      acc[col_ind_[k]] += scale * row_values_[k];
+      const std::uint32_t c = col_ind_[k];
+      acc[c] += scale * row_values_[k];
+      touched[count] = c;  // kept only if c is new (branch-free append)
+      count += static_cast<std::size_t>(mark[c] == 0);
+      mark[c] = 1;
     }
+    return count;
   }
 
   /// Accumulating builder: duplicate (row, col) entries are summed in

@@ -65,7 +65,9 @@ struct JobRecord {
   rt::Time release = 0;
   /// max(release, completion of the previous job of the same task) —
   /// inter-job precedence (§II) can defer readiness past the release.
-  rt::Time ready_time = 0;
+  /// kTimeMax until the job is admitted (an aborted run may never get
+  /// that far).
+  rt::Time ready_time = rt::kTimeMax;
   rt::Time absolute_deadline = 0;
   /// Time the (successful) copy-in phase began — DMA transfer start, or
   /// the CPU-side copy-in start for urgent jobs; kTimeMax if never loaded.

@@ -62,6 +62,9 @@ void export_intervals_csv(const rt::TaskSet& tasks, const Trace& trace,
     out << ',' << outcome_name(rec.copy_in_outcome) << ','
         << rec.copy_in_duration << ',' << rec.dma_busy << '\n';
   }
+  if (trace.aborted) {
+    out << kAbortedLine << '\n';
+  }
 }
 
 void export_jobs_csv(const rt::TaskSet& tasks, const Trace& trace,
@@ -70,7 +73,9 @@ void export_jobs_csv(const rt::TaskSet& tasks, const Trace& trace,
          "response,deadline_miss,urgent,cancellations\n";
   for (const JobRecord& job : trace.jobs) {
     out << tasks[job.id.task].name << ',' << job.id.seq << ','
-        << job.release << ',' << job.ready_time << ',';
+        << job.release << ',';
+    put_time(job.ready_time, out);
+    out << ',';
     put_time(job.copy_in_start, out);
     out << ',';
     put_time(job.exec_start, out);

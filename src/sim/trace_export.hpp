@@ -4,6 +4,8 @@
 //   intervals.csv: index,start,end,cpu_action,cpu_task,cpu_busy,
 //                  copy_out_task,copy_out,copy_in_task,copy_in_outcome,
 //                  copy_in,dma_busy
+//                  plus a last line `# aborted` when the simulation hit its
+//                  interval budget (Trace::aborted)
 //   jobs.csv:      task,seq,release,ready,copy_in_start,exec_start,
 //                  completion,response,deadline_miss,urgent,cancellations
 #pragma once
@@ -15,7 +17,11 @@
 
 namespace mcs::sim {
 
-/// Writes the per-interval table (header included).
+/// The line that closes intervals.csv for an aborted trace.
+inline constexpr const char* kAbortedLine = "# aborted";
+
+/// Writes the per-interval table (header included), closed by the
+/// `# aborted` line when `trace.aborted`.
 void export_intervals_csv(const rt::TaskSet& tasks, const Trace& trace,
                           std::ostream& out);
 

@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/trace_export.hpp"
+
 namespace mcs::sim {
 
 namespace {
@@ -125,6 +127,17 @@ Trace import_trace_csv(const rt::TaskSet& tasks, std::istream& intervals_csv,
       continue;
     }
     if (line.empty()) {
+      continue;
+    }
+    if (trace.aborted) {
+      fail("intervals.csv", line_no, "row after the aborted line");
+    }
+    if (line.front() == '#') {
+      if (line.back() == '\r') line.pop_back();
+      if (line != kAbortedLine) {
+        fail("intervals.csv", line_no, "unknown comment line '" + line + "'");
+      }
+      trace.aborted = true;
       continue;
     }
     const std::vector<std::string> cells = split_csv(line);

@@ -3,8 +3,9 @@
 // Inverse of export_intervals_csv / export_jobs_csv: given the task set
 // the trace was recorded against, reconstructs a sim::Trace suitable for
 // the protocol audit (check/trace_audit.hpp) and the metrics/gantt passes.
-// The CSV carries no aborted flag, so an imported trace counts as one that
-// ran to completion.  Absolute deadlines are rebuilt as release + D_i;
+// The `# aborted` line closing intervals.csv sets Trace::aborted; without
+// it the trace counts as one that ran to completion.  Absolute deadlines
+// are rebuilt as release + D_i;
 // the derived response/deadline-miss columns are ignored.  Fields are
 // comma-separated without quoting, exactly as the exporter writes them.
 #pragma once

@@ -139,6 +139,38 @@ TEST(TraceAudit, CsvRoundTripPreservesAuditVerdict) {
   EXPECT_TRUE(report.clean()) << render_all(report);
 }
 
+TEST(TraceAudit, CsvRoundTripKeepsAbortedFlag) {
+  const TaskSet tasks = mixed_set();
+  auto releases = mcs::sim::synchronous_periodic_releases(tasks, 4000);
+  mcs::sim::SimOptions options;
+  options.max_intervals = 20;  // stops with jobs still in flight
+  const Trace trace = mcs::sim::simulate(tasks, Protocol::kProposed,
+                                         std::move(releases), options);
+  ASSERT_TRUE(trace.aborted);
+  const CheckReport direct = audit_trace(tasks, Protocol::kProposed, trace);
+  EXPECT_TRUE(direct.clean()) << render_all(direct);
+
+  std::ostringstream intervals;
+  std::ostringstream jobs;
+  mcs::sim::export_intervals_csv(tasks, trace, intervals);
+  mcs::sim::export_jobs_csv(tasks, trace, jobs);
+  std::istringstream intervals_in(intervals.str());
+  std::istringstream jobs_in(jobs.str());
+  const Trace imported =
+      mcs::sim::import_trace_csv(tasks, intervals_in, jobs_in);
+
+  EXPECT_TRUE(imported.aborted);
+  ASSERT_EQ(imported.intervals.size(), trace.intervals.size());
+  bool in_flight = false;
+  for (const auto& job : imported.jobs) {
+    in_flight |= !job.completed();
+  }
+  ASSERT_TRUE(in_flight);
+  const CheckReport report = audit_trace(tasks, Protocol::kProposed, imported);
+  EXPECT_FALSE(report.has_rule("MCS-P012")) << render_all(report);
+  EXPECT_TRUE(report.clean()) << render_all(report);
+}
+
 TEST(TraceAudit, MalformedCsvThrows) {
   const TaskSet tasks = mixed_set();
   {
@@ -150,6 +182,12 @@ TEST(TraceAudit, MalformedCsvThrows) {
   {
     std::istringstream intervals("header\n");
     std::istringstream jobs("header\nghost,0,0,0,0,0,0,0,0,0,0\n");
+    EXPECT_THROW(mcs::sim::import_trace_csv(tasks, intervals, jobs),
+                 mcs::sim::TraceParseError);
+  }
+  {
+    std::istringstream intervals("header\n# finished\n");
+    std::istringstream jobs("header\n");
     EXPECT_THROW(mcs::sim::import_trace_csv(tasks, intervals, jobs),
                  mcs::sim::TraceParseError);
   }
