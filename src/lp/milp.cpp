@@ -103,7 +103,7 @@ class BranchAndBound {
 
  private:
   /// Sets up the root: clamped integral bounds, the clamped model copy,
-  /// and the two simplex solvers over it.  Returns false when a clamped
+  /// and the node-relaxation solver over it.  Returns false when a clamped
   /// integral domain is empty (infeasible).
   bool setup_root();
   bool better(double a, double b) const {
@@ -215,6 +215,16 @@ class BranchAndBound {
     result.values = std::move(snapped);
   }
 
+  /// The heuristic solver, built on first use at the root bounds (the
+  /// node-1 dive instead clones main_, see run()).
+  SimplexSolver& heur() {
+    if (!heur_) {
+      heur_ = std::make_unique<SimplexSolver>(root_model_, opt_.lp);
+      heur_bounds_ = root_bounds_;
+    }
+    return *heur_;
+  }
+
   /// Fix-and-complete rounding heuristic: round every integral variable to
   /// the nearest integer within its node bounds, re-solve the continuous
   /// completion, and offer the result as an incumbent.
@@ -228,7 +238,7 @@ class BranchAndBound {
           std::clamp(std::round(relax_values[int_vars_[k]]), lo, hi);
       fixed[k] = {x, x};
     }
-    const std::size_t changed = apply_bounds(*heur_, heur_bounds_, fixed);
+    const std::size_t changed = apply_bounds(heur(), heur_bounds_, fixed);
     const LpSolution sol = lp_solve(
         *heur_, opt_.use_warm_start && changed <= kWarmDeltaMax, result);
     if (sol.status == SolveStatus::kOptimal) {
@@ -243,9 +253,14 @@ class BranchAndBound {
   /// crucial for pruning on the scheduling-analysis MILPs.  Each attempt
   /// touches only the single bound being fixed and restores it on failure.
   void dive_heuristic(const IntBounds& node_bounds, MilpResult& result) {
-    const std::size_t changed = apply_bounds(*heur_, heur_bounds_, node_bounds);
-    LpSolution sol = lp_solve(
-        *heur_, opt_.use_warm_start && changed <= kWarmDeltaMax, result);
+    const std::size_t changed = apply_bounds(heur(), heur_bounds_, node_bounds);
+    dive_from(lp_solve(*heur_, opt_.use_warm_start && changed <= kWarmDeltaMax,
+                       result),
+              result);
+  }
+
+  /// The dive proper, from `sol`: heur_'s relaxation at its current bounds.
+  void dive_from(LpSolution sol, MilpResult& result) {
     // Each pass fixes at least one variable; bound the work defensively.
     for (std::size_t pass = 0; pass <= int_vars_.size(); ++pass) {
       if (sol.status != SolveStatus::kOptimal) {
@@ -299,7 +314,7 @@ class BranchAndBound {
   IntBounds root_bounds_;
   Model root_model_;  ///< base_ with integral domains clamped finite
   std::unique_ptr<SimplexSolver> main_;  ///< node relaxations
-  std::unique_ptr<SimplexSolver> heur_;  ///< rounding / diving scratch
+  std::unique_ptr<SimplexSolver> heur_;  ///< rounding / diving; see heur()
   IntBounds main_bounds_;  ///< bounds currently applied to main_
   IntBounds heur_bounds_;  ///< bounds currently applied to heur_
 
@@ -329,9 +344,7 @@ bool BranchAndBound::setup_root() {
                            root_bounds_[k].second);
   }
   main_ = std::make_unique<SimplexSolver>(root_model_, opt_.lp);
-  heur_ = std::make_unique<SimplexSolver>(root_model_, opt_.lp);
   main_bounds_ = root_bounds_;
-  heur_bounds_ = root_bounds_;
   return true;
 }
 
@@ -524,7 +537,13 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
 
     if (opt_.enable_rounding_heuristic) {
       if (result.nodes == 1) {
-        dive_heuristic(node_bounds, result);
+        // Node 1 is the root, and heur_ is not built yet.  main_ has just
+        // solved the root from scratch, which is exactly what a fresh
+        // heur_ would do first, so the dive starts from a copy of main_
+        // and from main_'s root solution instead of solving it again.
+        heur_ = main_->clone();
+        heur_bounds_ = main_bounds_;
+        dive_from(relax, result);
       } else if (result.nodes % kHeuristicPeriod == 0) {
         rounding_heuristic(node_bounds, relax.values, result);
         if (!result.has_incumbent &&
@@ -577,7 +596,7 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
       const double v = result.values[int_vars_[k]];
       fixed[k] = {v, v};
     }
-    apply_bounds(*heur_, heur_bounds_, fixed);
+    apply_bounds(heur(), heur_bounds_, fixed);
     LpSolution polish = heur_->solve();
     result.lp_iterations += polish.iterations;
     if (polish.status == SolveStatus::kOptimal) {

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <utility>
 
 #include "lp/simplex_impl.hpp"
 #include "support/contracts.hpp"
@@ -133,6 +135,7 @@ struct DenseKernel final : SimplexSolver::Impl {
   bool certify_dual() const;
 
   // SimplexSolver::Impl interface.
+  std::unique_ptr<Impl> clone() const override { return clone_kernel(*this); }
   void set_bounds(std::size_t var, double lower, double upper) override;
   bool valid() const override { return tableau_valid_; }
   std::size_t num_rows() const override { return rows_; }
@@ -975,7 +978,14 @@ SimplexSolver::SimplexSolver(const Model& model,
                 ? make_dense_kernel(model, options)
                 : make_sparse_kernel(model, options)) {}
 
+SimplexSolver::SimplexSolver(std::unique_ptr<Impl> impl)
+    : impl_(std::move(impl)) {}
+
 SimplexSolver::~SimplexSolver() = default;
+
+std::unique_ptr<SimplexSolver> SimplexSolver::clone() const {
+  return std::unique_ptr<SimplexSolver>(new SimplexSolver(impl_->clone()));
+}
 
 void SimplexSolver::set_bounds(VarId v, double lower, double upper) {
   impl_->set_bounds(v.index, lower, upper);

@@ -138,12 +138,22 @@ class SimplexSolver {
   /// Snapshot of the current basis (valid after any completed solve).
   Basis basis() const;
 
+  /// Independent copy of this solver in its current state (bounds,
+  /// factorization or tableau, warm-restart bookkeeping), bound to the
+  /// same model; its stats start at zero.  Fed the same `set_bounds` /
+  /// `solve` / `solve_warm` calls, the copy returns bit-identical
+  /// solutions, so cloning after a solve stands in for repeating it on a
+  /// second solver.
+  std::unique_ptr<SimplexSolver> clone() const;
+
   const SimplexStats& stats() const noexcept;
 
   /// Kernel interface (internal; defined in simplex_impl.hpp).
   struct Impl;
 
  private:
+  explicit SimplexSolver(std::unique_ptr<Impl> impl);
+
   std::unique_ptr<Impl> impl_;
 };
 

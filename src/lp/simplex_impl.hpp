@@ -72,9 +72,12 @@ struct SimplexSolver::Impl {
   Impl(const Model& model, const SimplexOptions& options)
       : model_(model), opt_(options) {}
   virtual ~Impl() = default;
-  Impl(const Impl&) = delete;
   Impl& operator=(const Impl&) = delete;
 
+  /// Independent copy in the same state, bound to the same model, with its
+  /// stats at zero.  Fed the same calls, the copy returns bit-identical
+  /// results (SimplexSolver::clone).
+  virtual std::unique_ptr<Impl> clone() const = 0;
   virtual void set_bounds(std::size_t var, double lower, double upper) = 0;
   /// True when a warm restart has state to start from.
   virtual bool valid() const = 0;
@@ -93,7 +96,30 @@ struct SimplexSolver::Impl {
   /// that does not is cheaper to abandon for a cold solve than to grind
   /// out.
   std::size_t warm_budget() const { return 4 * num_rows() + 100; }
+
+ protected:
+  /// For the kernels' clone(): copies everything but the stats.
+  Impl(const Impl& other)
+      : model_(other.model_),
+        opt_(other.opt_),
+        warm_since_cold_(other.warm_since_cold_) {}
 };
+
+/// Impl::clone for a kernel: a memberwise copy (stats zeroed by Impl's
+/// copy constructor) whose `active_cost_`, which points at one of the
+/// kernel's own cost rows, is moved onto the copy's row.  Left pointing
+/// into the original, it would silently change the copy's path (the sparse
+/// kernel tests `active_cost_ == &cost_` to trust its reduced costs).
+template <class Kernel>
+std::unique_ptr<SimplexSolver::Impl> clone_kernel(const Kernel& kernel) {
+  auto copy = std::make_unique<Kernel>(kernel);
+  if (kernel.active_cost_ == &kernel.cost_) {
+    copy->active_cost_ = &copy->cost_;
+  } else if (kernel.active_cost_ == &kernel.phase1_cost_) {
+    copy->active_cost_ = &copy->phase1_cost_;
+  }
+  return copy;
+}
 
 std::unique_ptr<SimplexSolver::Impl> make_dense_kernel(
     const Model& model, const SimplexOptions& options);

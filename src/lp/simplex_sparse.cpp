@@ -178,6 +178,7 @@ struct SparseKernel final : SimplexSolver::Impl {
   bool certify_dual();
 
   // SimplexSolver::Impl interface.
+  std::unique_ptr<Impl> clone() const override { return clone_kernel(*this); }
   void set_bounds(std::size_t var, double lower, double upper) override;
   bool valid() const override { return factor_valid_; }
   std::size_t num_rows() const override { return rows_; }

@@ -367,13 +367,35 @@ struct AdmissionService::Impl {
       telemetry::count("svc.degraded_verdicts");
       telemetry::count("svc.cache.bypass");
     } else {
+      // A greedy verdict settled in round 0 is also the verdict of a
+      // marked analysis of the all-NLS marking: on a fresh engine both run
+      // the same per-task solves (each task's solves touch only its own
+      // formulation slots), so it answers that query too.
+      std::optional<std::uint64_t> marked_fp;
+      if (mode == AnalysisMode::kGreedy && v.rounds == 1) {
+        rt::TaskSet all_nls = tasks;
+        for (rt::TaskIndex i = 0; i < all_nls.size(); ++i) {
+          all_nls[i].latency_sensitive = false;
+        }
+        marked_fp = fingerprint(all_nls, AnalysisMode::kMarked);
+      }
       const std::lock_guard<std::mutex> lock(cache_mutex);
-      if (cache.insert(fp, v)) {
-        cache_evictions.fetch_add(1, std::memory_order_relaxed);
-        telemetry::count("svc.cache.evictions");
+      insert(fp, v);
+      if (marked_fp) {
+        Verdict marked = v;
+        marked.rounds = 0;
+        insert(*marked_fp, std::move(marked));
       }
     }
     return v;
+  }
+
+  /// Caches `v` under `key`; the caller holds cache_mutex.
+  void insert(std::uint64_t key, Verdict v) {
+    if (cache.insert(key, std::move(v))) {
+      cache_evictions.fetch_add(1, std::memory_order_relaxed);
+      telemetry::count("svc.cache.evictions");
+    }
   }
 
   std::string process(const std::string& line);

@@ -7,7 +7,9 @@
 // miss is analyzed on a fresh analysis::AnalysisEngine, so a verdict never
 // depends on what the service analyzed before.  A global bounded LRU
 // verdict cache keyed by canonical task-set fingerprint gives O(1) answers
-// for any membership state the service has fully analyzed before.
+// for any membership state the service has fully analyzed before; a greedy
+// verdict settled in round 0 also answers the marked query of the all-NLS
+// marking.
 //
 // Deadline budgets: each request may carry `budget_ms`; once the budget
 // expires mid-analysis, remaining delay-MILP solves degrade to the safe LP

@@ -1,10 +1,15 @@
 // Differential tests for the warm-restart simplex path and the
 // warm-started branch & bound: whatever the warm machinery does, it must
-// agree with a cold solve on status and objective.  Also covers the
-// cached-formulation patch path (update_delay_milp) and incumbent seeding.
+// agree with a cold solve on status and objective.  A cloned solver must
+// repeat its original bit for bit.  Also covers the cached-formulation
+// patch path (update_delay_milp) and incumbent seeding.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/milp_formulation.hpp"
@@ -31,6 +36,7 @@ using mcs::lp::MilpResult;
 using mcs::lp::Model;
 using mcs::lp::Relation;
 using mcs::lp::Sense;
+using mcs::lp::SimplexKernel;
 using mcs::lp::SimplexOptions;
 using mcs::lp::SimplexSolver;
 using mcs::lp::solve_lp;
@@ -89,57 +95,47 @@ Model random_bounded_lp(Rng& rng, std::size_t vars, std::size_t rows) {
   return m;
 }
 
-class WarmVsCold : public ::testing::TestWithParam<std::uint64_t> {};
+/// One link of a bound-change chain: new bounds for one variable, then a
+/// warm solve, from the solver's last optimal basis when `from_parent` and
+/// there is one.
+struct BoundStep {
+  std::size_t var = 0;
+  double lo = 0.0;
+  double hi = 0.0;
+  bool from_parent = false;
+};
 
-TEST_P(WarmVsCold, RandomBoundedLpBoundChangeChains) {
-  Rng rng(GetParam() * 131 + 7);
-  const std::size_t vars = 3 + GetParam() % 6;
-  const std::size_t rows = 2 + GetParam() % 5;
-  Model base = random_bounded_lp(rng, vars, rows);
-
-  SimplexSolver warm_solver(base);
-  Model cold_model = base;  // tracks the same bound changes
-
-  // Mimic a branch & bound dive: a chain of bound tightenings with the
-  // occasional relaxation back to a wider range, warm-solving after each.
-  std::vector<std::pair<double, double>> current;
-  for (std::size_t v = 0; v < vars; ++v) {
-    current.emplace_back(base.variables()[v].lower,
-                         base.variables()[v].upper);
-  }
-  Basis parent;
-  for (std::size_t step = 0; step < 25; ++step) {
-    const std::size_t v =
-        static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(vars) - 1));
-    const auto [model_lo, model_hi] =
-        std::pair(base.variables()[v].lower, base.variables()[v].upper);
-    double lo = static_cast<double>(
+/// A branch & bound dive on `base`: bound tightenings with the occasional
+/// relaxation back to the model's range.
+std::vector<BoundStep> tightening_chain(Rng& rng, const Model& base,
+                                        std::size_t steps) {
+  const auto vars = static_cast<std::int64_t>(base.num_variables());
+  std::vector<BoundStep> chain;
+  for (std::size_t step = 0; step < steps; ++step) {
+    BoundStep s;
+    s.var = static_cast<std::size_t>(rng.uniform_int(0, vars - 1));
+    const double model_lo = base.variables()[s.var].lower;
+    const double model_hi = base.variables()[s.var].upper;
+    s.lo = static_cast<double>(
         rng.uniform_int(static_cast<std::int64_t>(model_lo),
                         static_cast<std::int64_t>(model_hi)));
-    double hi = static_cast<double>(
-        rng.uniform_int(static_cast<std::int64_t>(lo),
+    s.hi = static_cast<double>(
+        rng.uniform_int(static_cast<std::int64_t>(s.lo),
                         static_cast<std::int64_t>(model_hi)));
     if (rng.uniform01() < 0.25) {  // relax back to the root range
-      lo = model_lo;
-      hi = model_hi;
+      s.lo = model_lo;
+      s.hi = model_hi;
     }
-    warm_solver.set_bounds(VarId{v}, lo, hi);
-    cold_model.set_bounds(VarId{v}, lo, hi);
-    current[v] = {lo, hi};
-
-    const LpSolution warm = warm_solver.solve_warm(
-        parent.empty() || rng.uniform01() < 0.5 ? nullptr : &parent);
-    const LpSolution cold = solve_lp(cold_model);
-    expect_same_optimum(warm, cold,
-                        ("step " + std::to_string(step)).c_str());
-    if (warm.status == SolveStatus::kOptimal) {
-      parent = warm_solver.basis();
-    }
+    s.from_parent = rng.uniform01() < 0.5;
+    chain.push_back(s);
   }
+  return chain;
 }
 
-TEST_P(WarmVsCold, DelayMilpRelaxationFixChains) {
-  Rng rng(GetParam() * 977 + 3);
+/// The root of a random delay MILP as branch & bound sees it: every
+/// integral variable clamped to its finite range.  `ints` receives the
+/// integral variables.
+Model random_delay_root(Rng& rng, std::vector<std::size_t>& ints) {
   mcs::gen::GeneratorConfig cfg;
   cfg.num_tasks = 4;
   cfg.utilization = rng.uniform(0.3, 0.5);
@@ -151,14 +147,10 @@ TEST_P(WarmVsCold, DelayMilpRelaxationFixChains) {
   const auto i =
       static_cast<TaskIndex>(rng.uniform_int(0, static_cast<std::int64_t>(tasks.size()) - 1));
   const Time t = tasks[i].period;
-  DelayMilp milp = build_delay_milp(tasks, i, t, FormulationCase::kNls,
-                                    /*ignore_ls=*/false);
-
-  // Clamp every integral variable to its (finite) root range in a copy —
-  // the same transformation branch & bound performs — then drive a chain
-  // of 0/1 fixes through warm and cold solvers.
+  const DelayMilp milp = build_delay_milp(tasks, i, t, FormulationCase::kNls,
+                                          /*ignore_ls=*/false);
   Model root = milp.model;
-  std::vector<std::size_t> ints;
+  ints.clear();
   for (std::size_t v = 0; v < root.num_variables(); ++v) {
     if (root.variables()[v].type != mcs::lp::VarType::kContinuous) {
       ints.push_back(v);
@@ -166,31 +158,163 @@ TEST_P(WarmVsCold, DelayMilpRelaxationFixChains) {
                       std::floor(root.variables()[v].upper));
     }
   }
-  ASSERT_FALSE(ints.empty());
+  return root;
+}
 
-  SimplexSolver warm_solver(root);
-  Model cold_model = root;
-  Basis parent;
-  for (std::size_t step = 0; step < 30; ++step) {
-    const std::size_t v = ints[static_cast<std::size_t>(
+/// 0/1 fixes of `root`'s integral variables, as branching makes them,
+/// with the occasional release back to the root range.
+std::vector<BoundStep> fixing_chain(Rng& rng, const Model& root,
+                                    const std::vector<std::size_t>& ints,
+                                    std::size_t steps) {
+  std::vector<BoundStep> chain;
+  for (std::size_t step = 0; step < steps; ++step) {
+    BoundStep s;
+    s.var = ints[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(ints.size()) - 1))];
-    const double root_lo = root.variables()[v].lower;
-    const double root_hi = root.variables()[v].upper;
-    double lo = root_lo;
-    double hi = root_hi;
+    const double root_lo = root.variables()[s.var].lower;
+    const double root_hi = root.variables()[s.var].upper;
+    s.lo = root_lo;
+    s.hi = root_hi;
     if (rng.uniform01() < 0.7) {  // fix to one endpoint, as branching does
-      lo = hi = rng.uniform01() < 0.5 ? root_lo : root_hi;
+      s.lo = s.hi = rng.uniform01() < 0.5 ? root_lo : root_hi;
     }
-    warm_solver.set_bounds(VarId{v}, lo, hi);
-    cold_model.set_bounds(VarId{v}, lo, hi);
+    s.from_parent = rng.uniform01() < 0.5;
+    chain.push_back(s);
+  }
+  return chain;
+}
 
-    const LpSolution warm = warm_solver.solve_warm(
-        parent.empty() || rng.uniform01() < 0.5 ? nullptr : &parent);
+/// Applies `step` to `solver` and warm-solves; `parent` holds the solver's
+/// last optimal basis.
+LpSolution take_step(SimplexSolver& solver, const BoundStep& step,
+                     Basis& parent) {
+  solver.set_bounds(VarId{step.var}, step.lo, step.hi);
+  const LpSolution sol = solver.solve_warm(
+      step.from_parent && !parent.empty() ? &parent : nullptr);
+  if (sol.status == SolveStatus::kOptimal) {
+    parent = solver.basis();
+  }
+  return sol;
+}
+
+/// Drives a warm solver and cold re-solves of a tracking model through
+/// `chain`; every step must agree on status and objective.
+void expect_chain_matches_cold(const Model& base,
+                               const std::vector<BoundStep>& chain,
+                               const char* label) {
+  SimplexSolver warm_solver(base);
+  Model cold_model = base;  // tracks the same bound changes
+  Basis parent;
+  for (std::size_t k = 0; k < chain.size(); ++k) {
+    const LpSolution warm = take_step(warm_solver, chain[k], parent);
+    cold_model.set_bounds(VarId{chain[k].var}, chain[k].lo, chain[k].hi);
     const LpSolution cold = solve_lp(cold_model);
-    expect_same_optimum(warm, cold,
-                        ("relaxation step " + std::to_string(step)).c_str());
-    if (warm.status == SolveStatus::kOptimal) {
-      parent = warm_solver.basis();
+    expect_same_optimum(
+        warm, cold,
+        std::string(label).append(" step ").append(std::to_string(k)).c_str());
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_identical(const LpSolution& a, const LpSolution& b,
+                      const std::string& label) {
+  ASSERT_EQ(a.status, b.status) << label;
+  EXPECT_EQ(a.iterations, b.iterations) << label;
+  EXPECT_TRUE(same_bits(a.objective, b.objective))
+      << label << ": " << a.objective << " vs " << b.objective;
+  ASSERT_EQ(a.values.size(), b.values.size()) << label;
+  for (std::size_t v = 0; v < a.values.size(); ++v) {
+    EXPECT_TRUE(same_bits(a.values[v], b.values[v]))
+        << label << " value " << v << ": " << a.values[v] << " vs "
+        << b.values[v];
+  }
+}
+
+/// The counters of `stats` in a fixed order, for whole-struct comparisons.
+std::vector<std::size_t> counters(const mcs::lp::SimplexStats& stats) {
+  return {stats.cold_solves,  stats.warm_solves,      stats.warm_fallbacks,
+          stats.cold_pivots,  stats.warm_pivots,      stats.refactorizations,
+          stats.eta_nnz,      stats.bound_flips,      stats.devex_resets,
+          stats.fixed_cols_skipped};
+}
+
+/// Clones a solver after step `clone_after` of `chain` and feeds both the
+/// rest: every solution must be bit-identical, the clone's stats must
+/// start at zero and then count exactly the original's further work.
+void expect_clone_repeats_original(const Model& model,
+                                   const std::vector<BoundStep>& chain,
+                                   SimplexKernel kernel,
+                                   std::size_t clone_after,
+                                   const std::string& label) {
+  SimplexOptions opt;
+  opt.kernel = kernel;
+  SimplexSolver original(model, opt);
+  Basis parent;
+  for (std::size_t k = 0; k <= clone_after; ++k) {
+    take_step(original, chain[k], parent);
+  }
+  const std::unique_ptr<SimplexSolver> clone = original.clone();
+  const std::vector<std::size_t> zero(counters(clone->stats()).size(), 0);
+  EXPECT_EQ(counters(clone->stats()), zero) << label;
+  const std::vector<std::size_t> before = counters(original.stats());
+  Basis clone_parent = parent;
+  for (std::size_t k = clone_after + 1; k < chain.size(); ++k) {
+    const LpSolution a = take_step(original, chain[k], parent);
+    const LpSolution b = take_step(*clone, chain[k], clone_parent);
+    expect_identical(a, b, label + " step " + std::to_string(k));
+    if (::testing::Test::HasFailure()) return;
+  }
+  const std::vector<std::size_t> after = counters(original.stats());
+  std::vector<std::size_t> delta(after.size());
+  for (std::size_t c = 0; c < after.size(); ++c) {
+    delta[c] = after[c] - before[c];
+  }
+  EXPECT_EQ(counters(clone->stats()), delta) << label;
+}
+
+class WarmVsCold : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WarmVsCold, RandomBoundedLpBoundChangeChains) {
+  Rng rng(GetParam() * 131 + 7);
+  const std::size_t vars = 3 + GetParam() % 6;
+  const std::size_t rows = 2 + GetParam() % 5;
+  const Model base = random_bounded_lp(rng, vars, rows);
+  expect_chain_matches_cold(base, tightening_chain(rng, base, 25),
+                            "tightening");
+}
+
+TEST_P(WarmVsCold, DelayMilpRelaxationFixChains) {
+  Rng rng(GetParam() * 977 + 3);
+  std::vector<std::size_t> ints;
+  const Model root = random_delay_root(rng, ints);
+  ASSERT_FALSE(ints.empty());
+  expect_chain_matches_cold(root, fixing_chain(rng, root, ints, 30),
+                            "relaxation");
+}
+
+TEST_P(WarmVsCold, CloneRepeatsTheOriginalBitForBit) {
+  Rng rng(GetParam() * 53 + 19);
+  const Model lp = random_bounded_lp(rng, 3 + GetParam() % 6,
+                                     2 + GetParam() % 5);
+  std::vector<std::size_t> ints;
+  const Model root = random_delay_root(rng, ints);
+  ASSERT_FALSE(ints.empty());
+  const std::vector<BoundStep> tightening = tightening_chain(rng, lp, 25);
+  const std::vector<BoundStep> fixing = fixing_chain(rng, root, ints, 30);
+  for (const SimplexKernel kernel :
+       {SimplexKernel::kSparse, SimplexKernel::kDense}) {
+    const std::string k =
+        kernel == SimplexKernel::kSparse ? "sparse" : "dense";
+    for (const std::size_t at :
+         {std::size_t{0}, std::size_t{8}, std::size_t{16}}) {
+      const std::string when = " clone after step " + std::to_string(at);
+      expect_clone_repeats_original(lp, tightening, kernel, at,
+                                    k + " tightening" + when);
+      expect_clone_repeats_original(root, fixing, kernel, at,
+                                    k + " fixing" + when);
     }
   }
 }

@@ -9,6 +9,10 @@
 // (4 entries) so eviction boundaries are crossed constantly, and requests
 // alternate between two cores so their memberships interleave.
 //
+// A greedy verdict settled in round 0 also answers the marked analysis of
+// the all-NLS marking (a derived cache entry); the SvcDerivedEntry tests
+// pin when the service derives one and when it must not.
+//
 // Op count scales with MCS_FUZZ_OPS (default 300 per seed; the admitted
 // sets grow with the op count, so cost is super-linear) for soak runs.
 #include <gtest/gtest.h>
@@ -382,4 +386,151 @@ TEST(SvcDifferential, ReanalysisAfterRemoveMatchesFreshEngine) {
             again_json.find("verdict")->find("tasks")->dump());
   EXPECT_EQ(first_json.find("verdict")->find("schedulable")->as_bool(),
             again_json.find("verdict")->find("schedulable")->as_bool());
+}
+
+namespace {
+
+rt::Task light_task(const std::string& name, rt::Time exec, rt::Time copy_in,
+                    rt::Time copy_out, rt::Time period, rt::Time deadline,
+                    rt::Priority prio) {
+  rt::Task t;
+  t.name = name;
+  t.exec = exec;
+  t.copy_in = copy_in;
+  t.copy_out = copy_out;
+  t.period = period;
+  t.deadline = deadline;
+  t.priority = prio;
+  return t;
+}
+
+/// Two tasks whose greedy verdicts are settled in round 0, alone and
+/// together.
+const rt::Task kSense = light_task("sense", 120, 30, 20, 3000, 2800, 0);
+const rt::Task kFuse = light_task("fuse", 400, 90, 60, 6000, 6000, 1);
+
+/// Sends `line`, requires ok:true, and returns the parsed response.
+Json request(svc::AdmissionService& service, const std::string& line) {
+  const std::string response = service.handle_line(line);
+  Json parsed = support::parse_json(response);
+  EXPECT_TRUE(parsed.find("ok")->as_bool()) << line << "\n" << response;
+  return parsed;
+}
+
+bool cached(const Json& response) {
+  return response.find("verdict")->find("cached")->as_bool();
+}
+
+int rounds(const Json& response) {
+  return static_cast<int>(response.find("verdict")->find("rounds")->as_int64());
+}
+
+std::string admit(const rt::Task& t) {
+  return "{\"op\":\"admit\",\"core\":\"c\",\"task\":" + task_json(t) + "}";
+}
+
+/// What-if analysis of the core's tasks plus `t` under `mode`.
+std::string analyze_with(const rt::Task& t, const char* mode,
+                         const char* extra = "") {
+  return std::string("{\"op\":\"analyze\",\"core\":\"c\",\"mode\":\"")
+      .append(mode)
+      .append("\",\"task\":")
+      .append(task_json(t))
+      .append(extra)
+      .append("}");
+}
+
+}  // namespace
+
+TEST(SvcDerivedEntry, RoundZeroGreedyVerdictAnswersAllNlsMarkedQuery) {
+  svc::AdmissionService service;
+  const Json first = request(service, admit(kSense));
+  ASSERT_EQ(rounds(first), 1);
+  // The greedy verdict and the derived marked one.
+  EXPECT_EQ(service.stats().cache_entries, 2u);
+  const Json second = request(service, admit(kFuse));
+  ASSERT_EQ(rounds(second), 1);
+  ASSERT_TRUE(second.find("committed")->as_bool());
+
+  const Json on = request(
+      service, "{\"op\":\"mark_ls\",\"core\":\"c\",\"name\":\"sense\","
+               "\"ls\":true}");
+  EXPECT_FALSE(cached(on));
+  ASSERT_TRUE(on.find("committed")->as_bool());
+
+  // Turning the only LS task back off leaves the set all-NLS: answered
+  // from the entry the round-0 admit derived, equal to a fresh engine's
+  // marked analysis.
+  const rt::TaskSet all_nls({kSense, kFuse});
+  const RefVerdict ref = reference_verdict(all_nls, svc::AnalysisMode::kMarked);
+  const Json off = request(
+      service, "{\"op\":\"mark_ls\",\"core\":\"c\",\"name\":\"sense\","
+               "\"ls\":false}");
+  EXPECT_TRUE(cached(off));
+  EXPECT_EQ(rounds(off), 0);
+  expect_verdict_matches(off, ref, all_nls, svc::AnalysisMode::kMarked,
+                         "mark_ls off");
+
+  // The same entry answers an explicit marked analysis of the subset the
+  // first admit analyzed.
+  request(service, "{\"op\":\"remove\",\"core\":\"c\",\"name\":\"fuse\"}");
+  const rt::TaskSet alone({kSense});
+  const Json marked = request(
+      service, "{\"op\":\"analyze\",\"core\":\"c\",\"mode\":\"marked\"}");
+  EXPECT_TRUE(cached(marked));
+  expect_verdict_matches(marked,
+                         reference_verdict(alone, svc::AnalysisMode::kMarked),
+                         alone, svc::AnalysisMode::kMarked, "marked subset");
+}
+
+TEST(SvcDerivedEntry, NothingDerivedFromPromotedDegradedOrWpVerdicts) {
+  {
+    // Greedy needs a promotion (rounds 2) for the third task: its verdict
+    // is not the all-NLS one.
+    svc::AdmissionService service;
+    const rt::Task control = light_task("control", 300, 60, 60, 2000, 1700, 0);
+    const rt::Task vision = light_task("vision", 900, 350, 350, 5000, 5000, 1);
+    const rt::Task logging =
+        light_task("logging", 600, 150, 150, 10000, 10000, 2);
+    request(service, admit(control));
+    request(service, admit(vision));
+    const Json promoted = request(service, admit(logging));
+    ASSERT_GE(rounds(promoted), 2);
+    const Json marked = request(
+        service, "{\"op\":\"analyze\",\"core\":\"c\",\"mode\":\"marked\"}");
+    EXPECT_FALSE(cached(marked));
+    const rt::TaskSet set({control, vision, logging});
+    expect_verdict_matches(marked,
+                           reference_verdict(set, svc::AnalysisMode::kMarked),
+                           set, svc::AnalysisMode::kMarked, "after promotion");
+  }
+  {
+    // A degraded round-0 verdict is pessimistic and never cached, nor is
+    // anything derived from it.
+    svc::AdmissionService service;
+    request(service, admit(kSense));
+    const Json degraded =
+        request(service, analyze_with(kFuse, "greedy", ",\"budget_ms\":0"));
+    ASSERT_TRUE(degraded.find("verdict")->find("degraded")->as_bool());
+    ASSERT_EQ(rounds(degraded), 1);
+    EXPECT_FALSE(cached(request(service, analyze_with(kFuse, "marked"))));
+  }
+  {
+    // WP verdicts answer only WP queries.
+    svc::AdmissionService service;
+    request(service, admit(kSense));
+    request(service, analyze_with(kFuse, "wp"));
+    EXPECT_FALSE(cached(request(service, analyze_with(kFuse, "marked"))));
+  }
+  {
+    // A disabled cache stores nothing, derived entries included.
+    svc::ServiceConfig config;
+    config.cache_capacity = 0;
+    svc::AdmissionService service(config);
+    request(service, admit(kSense));
+    request(service, admit(kFuse));
+    EXPECT_FALSE(cached(request(
+        service, "{\"op\":\"analyze\",\"core\":\"c\",\"mode\":\"marked\"}")));
+    EXPECT_EQ(service.stats().cache_entries, 0u);
+  }
 }
