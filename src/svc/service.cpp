@@ -603,6 +603,10 @@ AdmissionService::~AdmissionService() = default;
 std::string AdmissionService::handle_line(const std::string& line) {
   const auto start = std::chrono::steady_clock::now();
   std::string response = impl_->process(line);
+  // Json::dump grows its string by doubling, leaving a response about a
+  // third larger than its text; callers that keep responses (transcripts,
+  // replay checks) should hold only the text.
+  response.shrink_to_fit();
   impl_->requests.fetch_add(1, std::memory_order_relaxed);
   telemetry::count("svc.requests");
   telemetry::record(
