@@ -106,10 +106,11 @@ struct SimplexSolver::Impl {
 };
 
 /// Impl::clone for a kernel: a memberwise copy (stats zeroed by Impl's
-/// copy constructor) whose `active_cost_`, which points at one of the
-/// kernel's own cost rows, is moved onto the copy's row.  Left pointing
-/// into the original, it would silently change the copy's path (the sparse
-/// kernel tests `active_cost_ == &cost_` to trust its reduced costs).
+/// copy constructor) whose `active_cost_`, a pointer at one of the
+/// kernel's own cost rows, is moved onto the copy's row.  A copied pointer
+/// would point into the original: it could dangle, and the sparse kernel's
+/// `active_cost_ == &cost_` test, which decides whether its reduced costs
+/// can be trusted, would fail on the copy.
 template <class Kernel>
 std::unique_ptr<SimplexSolver::Impl> clone_kernel(const Kernel& kernel) {
   auto copy = std::make_unique<Kernel>(kernel);
