@@ -49,6 +49,19 @@ struct TimerAcc {
     ++count;
     total += seconds;
   }
+
+  void merge(const TimerAcc& other) noexcept {
+    if (other.count == 0) return;
+    if (count == 0) {
+      min = other.min;
+      max = other.max;
+    } else {
+      min = std::min(min, other.min);
+      max = std::max(max, other.max);
+    }
+    count += other.count;
+    total += other.total;
+  }
 };
 
 struct HistAcc {
@@ -110,6 +123,13 @@ struct Shard {
   std::unordered_map<std::string, std::uint64_t> counters;
   std::unordered_map<std::string, TimerAcc> timers;
   std::unordered_map<std::string, HistAcc> hists;
+
+  /// Adds `other`'s values; the caller holds both shards' mutexes.
+  void merge(const Shard& other) {
+    for (const auto& [name, value] : other.counters) counters[name] += value;
+    for (const auto& [name, acc] : other.timers) timers[name].merge(acc);
+    for (const auto& [name, acc] : other.hists) hists[name].merge(acc);
+  }
 };
 
 class Registry {
@@ -121,17 +141,26 @@ class Registry {
     return shard;
   }
 
-  Snapshot scrape() {
-    // Copy the shard list first so shard locks are never held together with
-    // the registry lock.
-    std::vector<std::shared_ptr<Shard>> shards;
+  /// Folds the shard of an exiting thread into `retired_` and forgets it,
+  /// so threads that come and go (an admission service starts a request
+  /// thread for every thread that calls it) leave no shard behind.
+  void retire(const std::shared_ptr<Shard>& shard) {
+    std::lock_guard lock(mu_);
     {
-      std::lock_guard lock(mu_);
-      shards = shards_;
+      std::scoped_lock both(shard->mu, retired_->mu);
+      retired_->merge(*shard);
     }
+    shards_.erase(std::find(shards_.begin(), shards_.end(), shard));
+  }
+
+  Snapshot scrape() {
+    // The registry lock is held throughout, so a retire() cannot move a
+    // shard's values into retired_ between the two being read.  Writers
+    // only take their own shard's lock, never this one.
+    std::lock_guard registry_lock(mu_);
     Snapshot snap;
     std::unordered_map<std::string, HistAcc> merged_hists;
-    for (const auto& shard : shards) {
+    for (const auto& shard : shards_) {
       std::lock_guard lock(shard->mu);
       for (const auto& [name, value] : shard->counters) {
         snap.counters[name] += value;
@@ -167,12 +196,8 @@ class Registry {
   }
 
   void clear() {
-    std::vector<std::shared_ptr<Shard>> shards;
-    {
-      std::lock_guard lock(mu_);
-      shards = shards_;
-    }
-    for (const auto& shard : shards) {
+    std::lock_guard registry_lock(mu_);
+    for (const auto& shard : shards_) {
       std::lock_guard lock(shard->mu);
       shard->counters.clear();
       shard->timers.clear();
@@ -182,10 +207,10 @@ class Registry {
 
  private:
   std::mutex mu_;
-  /// Shards are kept alive for the process lifetime: data from exited
-  /// threads must survive until the final scrape, and the count is bounded
-  /// by the number of threads ever created (small: one pool per run).
-  std::vector<std::shared_ptr<Shard>> shards_;
+  /// One shard per live thread that has recorded anything, plus
+  /// `retired_`, which holds the values of every thread that has exited.
+  std::shared_ptr<Shard> retired_ = std::make_shared<Shard>();
+  std::vector<std::shared_ptr<Shard>> shards_{retired_};
 };
 
 Registry& registry() {
@@ -195,9 +220,24 @@ Registry& registry() {
   return *instance;
 }
 
+/// A thread's shard, retired when the thread exits.
+struct LocalShard {
+  std::shared_ptr<Shard> shard = registry().make_shard();
+  LocalShard() = default;
+  LocalShard(const LocalShard&) = delete;
+  LocalShard& operator=(const LocalShard&) = delete;
+  ~LocalShard() {
+    try {
+      registry().retire(shard);
+    } catch (...) {
+      // Merging allocates; on failure the shard simply stays registered.
+    }
+  }
+};
+
 Shard& local_shard() {
-  thread_local std::shared_ptr<Shard> shard = registry().make_shard();
-  return *shard;
+  thread_local LocalShard local;
+  return *local.shard;
 }
 
 // -1 = not yet read from the environment.

@@ -11,6 +11,8 @@
 //    so the enabled overhead stays far below measurement noise.
 //  * snapshot() merges every thread's shard without stopping writers;
 //    values are monotone between reset() calls.
+//  * A thread's shard is folded into one retired shard when the thread
+//    exits, so short-lived threads leave no per-thread state behind.
 //
 // The JSON snapshot schema (telemetry_export.cpp, schema id
 // "mcs-telemetry-v1"):

@@ -21,6 +21,13 @@
 // `queue_high_water`, answering with a structured `overloaded` error and an
 // exponential retry-after hint instead of queueing unboundedly.
 //
+// Allocation: handle_line answers each request on a thread that serves the
+// calling thread (one per calling thread, started on its first request and
+// joined when it exits), so the request's scratch allocations come from
+// that thread's malloc arena; the caller's heap receives only the returned
+// response.  A caller that keeps its responses does not find them
+// interleaved with freed analysis scratch.
+//
 // Thread safety: handle_line is safe from any number of threads.  Requests
 // for the same core serialize on that core's mutex; different cores run
 // concurrently.  For a fixed per-core request order the final state and
@@ -37,7 +44,8 @@
 namespace mcs::svc {
 
 struct ServiceConfig {
-  /// Worker threads for submit(); handle_line itself never spawns.
+  /// Worker threads for submit().  handle_line does not use them: it
+  /// answers on the calling thread's own request thread (see above).
   std::size_t threads = 1;
   /// Verdict-cache capacity in entries (0 disables caching).
   std::size_t cache_capacity = 256;
@@ -106,6 +114,9 @@ class AdmissionService {
   ServiceStats stats() const;
 
  private:
+  /// handle_line's work, on the current thread.
+  std::string respond(const std::string& line);
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -172,4 +172,33 @@ TEST_F(TelemetryTest, SnapshotMergesShardsOfExitedThreads) {
   EXPECT_EQ(snap.counters.at("t.from_worker"), 7u);
 }
 
+TEST_F(TelemetryTest, ShortLivedThreadsFoldTimersAndHistogramsExactly) {
+  // One thread per sample (an admission service starts a request thread
+  // for every calling thread): every exited thread's values survive in
+  // full, extrema included.
+  constexpr int kThreads = 200;
+  for (int t = 1; t <= kThreads; ++t) {
+    std::thread([t] {
+      telemetry::count("t.short_lived");
+      telemetry::add_time("t.short_timer", 0.001 * t);
+      telemetry::record("t.short_hist", static_cast<double>(t));
+    }).join();
+  }
+  telemetry::count("t.short_lived");  // the main thread's own shard
+  const auto snap = telemetry::snapshot();
+  EXPECT_EQ(snap.counters.at("t.short_lived"), kThreads + 1u);
+  const auto& timer = snap.timers.at("t.short_timer");
+  EXPECT_EQ(timer.count, static_cast<std::uint64_t>(kThreads));
+  EXPECT_DOUBLE_EQ(timer.min_seconds, 0.001);
+  EXPECT_DOUBLE_EQ(timer.max_seconds, 0.001 * kThreads);
+  const auto& hist = snap.histograms.at("t.short_hist");
+  EXPECT_EQ(hist.count, static_cast<std::uint64_t>(kThreads));
+  EXPECT_DOUBLE_EQ(hist.min, 1.0);
+  EXPECT_DOUBLE_EQ(hist.max, static_cast<double>(kThreads));
+  EXPECT_DOUBLE_EQ(hist.sum, kThreads * (kThreads + 1) / 2.0);
+  // A reset clears the folded values too.
+  telemetry::reset();
+  EXPECT_TRUE(telemetry::snapshot().empty());
+}
+
 }  // namespace

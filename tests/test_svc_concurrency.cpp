@@ -233,3 +233,52 @@ TEST(SvcConcurrency, ParallelClientsOnOneSharedCore) {
       static_cast<int>(verdict->find("tasks")->as_array().size()),
       committed.load());
 }
+
+TEST(SvcConcurrency, HandleLineFromShortLivedThreadsMatchesOneThread) {
+  // handle_line answers on a request thread that serves the calling thread
+  // and is joined when that thread exits.  A session whose every request
+  // comes from a fresh thread must read exactly like the same session
+  // driven from one thread, `cached` flags included.
+  std::vector<std::string> script;
+  for (int i = 0; i < 4; ++i) {
+    std::ostringstream admit;
+    admit << "{\"op\":\"admit\",\"core\":\"c\",\"task\":{\"name\":\"t" << i
+          << "\",\"exec\":" << 200 + 50 * i
+          << ",\"copy_in\":40,\"copy_out\":40,\"period\":" << 4000 + 1000 * i
+          << ",\"deadline\":" << 4000 + 1000 * i << ",\"prio\":" << i << "}}";
+    script.push_back(admit.str());
+  }
+  script.push_back("{\"op\":\"analyze\",\"core\":\"c\"}");
+  script.push_back("{\"op\":\"mark_ls\",\"core\":\"c\",\"name\":\"t0\",\"ls\":true}");
+  script.push_back("{\"op\":\"mark_ls\",\"core\":\"c\",\"name\":\"t0\",\"ls\":false}");
+  script.push_back("{\"op\":\"analyze\",\"core\":\"c\",\"mode\":\"wp\"}");
+  script.push_back("{\"op\":\"analyze\",\"core\":\"c\",\"budget_ms\":0}");
+  script.push_back("{\"op\":\"remove\",\"core\":\"c\",\"name\":\"t9\"}");
+
+  svc::AdmissionService one_thread;
+  std::vector<std::string> expected;
+  for (const std::string& line : script) {
+    expected.push_back(one_thread.handle_line(line));
+  }
+
+  svc::AdmissionService many_threads;
+  for (std::size_t k = 0; k < script.size(); ++k) {
+    std::string response;
+    std::thread([&] { response = many_threads.handle_line(script[k]); })
+        .join();
+    EXPECT_EQ(response, expected[k]) << "request " << k;
+  }
+}
+
+TEST(SvcConcurrency, HandleLineResponsesHoldOnlyTheirText) {
+  // The response is copied out of the request thread at its exact size, so
+  // a caller that keeps responses keeps no slack capacity.
+  svc::AdmissionService service;
+  const std::string response = service.handle_line(
+      "{\"op\":\"admit\",\"core\":\"c\",\"task\":{\"name\":\"a\","
+      "\"exec\":100,\"copy_in\":10,\"copy_out\":10,\"period\":1000,"
+      "\"deadline\":1000,\"prio\":0}}");
+  ASSERT_GT(response.size(), 15u);  // beyond the small-string buffer
+  EXPECT_EQ(response.capacity(), response.size());
+  EXPECT_TRUE(support::parse_json(response).find("ok")->as_bool());
+}
