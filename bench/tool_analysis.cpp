@@ -5,9 +5,14 @@
 //
 // Every MILP is solved to proven optimality (relative_gap = 0), so the
 // verdict counts and the work counts (B&B nodes, simplex pivots) are
-// deterministic.  Writes BENCH_analysis.json; tools/perf_check.py requires
-// the verdict counts to equal the committed baseline's and the work counts
-// to stay within a growth bound of it.  Wall time is recorded, not gated.
+// deterministic.  A second pass answers the same verdicts in the engine's
+// decision mode (AnalysisEngine::decide, WP then greedy marking from
+// scratch), whose searches stop once each round's outcome is fixed.
+// Writes BENCH_analysis.json; tools/perf_check.py requires the verdict
+// counts to equal the committed baseline's (and the decision pass's to
+// equal the exact pass's), the work counts to stay within a growth bound
+// of the baseline's, and the decision pass to explore at most a fixed
+// share of the exact pass's B&B nodes.  Wall time is recorded, not gated.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -37,6 +42,13 @@ std::uint64_t simplex_pivots() {
     if (it != snap.counters.end()) total += it->second;
   }
   return total;
+}
+
+/// B&B nodes whose relaxation was solved, paused searches included.
+std::uint64_t nodes_explored() {
+  const support::telemetry::Snapshot snap = support::telemetry::snapshot();
+  const auto it = snap.counters.find("milp.nodes_explored");
+  return it == snap.counters.end() ? 0 : it->second;
 }
 
 }  // namespace
@@ -69,6 +81,7 @@ int tool_analysis_main() {
   // JSON is complete regardless of the environment.
   support::telemetry::set_enabled(true);
   const std::uint64_t pivots_before = simplex_pivots();
+  const std::uint64_t explored_before = nodes_explored();
 
   std::size_t nps_schedulable = 0;
   std::size_t wp_failing = 0;
@@ -97,6 +110,29 @@ int tool_analysis_main() {
                              std::chrono::steady_clock::now() - t0)
                              .count();
   const std::uint64_t pivots = simplex_pivots() - pivots_before;
+  const std::uint64_t exact_explored = nodes_explored() - explored_before;
+
+  // The same verdicts in decision mode.
+  std::size_t decided_wp_failing = 0;
+  std::size_t decided_rescued = 0;
+  const std::uint64_t decision_pivots_before = simplex_pivots();
+  const std::uint64_t decision_nodes_before = nodes_explored();
+  for (const rt::TaskSet& tasks : sets) {
+    analysis::AnalysisEngine engine;
+    if (engine.decide(tasks, analysis::Approach::kWasilyPellizzoni, options)
+            .schedulable) {
+      continue;
+    }
+    ++decided_wp_failing;
+    if (engine.decide(tasks, analysis::Approach::kProposed, options)
+            .schedulable) {
+      ++decided_rescued;
+    }
+  }
+  const std::uint64_t decision_nodes =
+      nodes_explored() - decision_nodes_before;
+  const std::uint64_t decision_pivots =
+      simplex_pivots() - decision_pivots_before;
 
   std::cout << "Analysis pipeline bench: " << kSets << " task sets (n="
             << kTasks << ", U=" << kUtilization << ", gamma=" << kGamma
@@ -105,10 +141,12 @@ int tool_analysis_main() {
             << " rescued by greedy, " << rounds_total
             << " greedy rounds total\n  " << bb_nodes << " B&B nodes, "
             << pivots << " simplex pivots, " << static_cast<long>(wall_ms)
-            << " ms\n";
+            << " ms\n  decision mode: " << decision_nodes << " of "
+            << exact_explored << " B&B nodes explored, " << decision_pivots
+            << " simplex pivots\n";
 
   std::ofstream json("BENCH_analysis.json");
-  json << "{\n  \"schema\": \"mcs-bench-analysis-v2\",\n"
+  json << "{\n  \"schema\": \"mcs-bench-analysis-v3\",\n"
        << "  \"sweep_point\": {\"sets\": " << kSets << ", \"num_tasks\": "
        << kTasks << ", \"utilization\": " << kUtilization
        << ", \"gamma\": " << kGamma << "},\n"
@@ -118,6 +156,11 @@ int tool_analysis_main() {
        << ", \"greedy_rounds_total\": " << rounds_total << "},\n"
        << "  \"work\": {\"bb_nodes\": " << bb_nodes
        << ", \"simplex_pivots\": " << pivots << "},\n"
+       << "  \"decision\": {\"wp_failing\": " << decided_wp_failing
+       << ", \"greedy_rescued\": " << decided_rescued
+       << ", \"bb_nodes\": " << decision_nodes
+       << ", \"simplex_pivots\": " << decision_pivots
+       << ", \"exact_nodes_explored\": " << exact_explored << "},\n"
        << "  \"wall_ms\": " << static_cast<long>(wall_ms) << "\n}\n";
   json.close();
   std::cout << "wrote BENCH_analysis.json\n";

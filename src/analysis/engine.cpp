@@ -32,9 +32,73 @@ struct DelayBound {
   double delay = 0.0;         ///< upper bound on sum of interval lengths
   bool relaxation = false;    ///< dual bound used (budget exhausted)
   bool degraded = false;      ///< SolveBudget exceeded: LP dual bound used
+  /// Decision mode: the stop rule paused the search, which now waits in
+  /// its formulation slot; `delay` is unset and the rule kept the bracket.
+  bool paused = false;
   std::size_t nodes = 0;
   std::size_t lp_iterations = 0;
 };
+
+/// The delay bound a finished search gives.
+DelayBound delay_of(const lp::MilpResult& res) {
+  DelayBound out;
+  out.nodes = res.nodes;
+  out.lp_iterations = res.lp_iterations;
+  switch (res.status) {
+    case lp::SolveStatus::kOptimal:
+      out.valid = true;
+      // best_bound equals the objective when optimality was proven and is
+      // the safe dual bound when the search stopped at the relative gap.
+      out.delay = res.best_bound;
+      out.relaxation = res.gap_terminated;
+      if (res.gap_terminated) {
+        telemetry::count("analysis.fallbacks.gap_terminated");
+      }
+      break;
+    case lp::SolveStatus::kNodeLimit:
+      // Dual bound >= true maximum: safe.
+      if (std::isfinite(res.best_bound)) {
+        out.valid = true;
+        out.delay = res.best_bound;
+        out.relaxation = true;
+        telemetry::count("analysis.fallbacks.node_limit");
+      }
+      break;
+    case lp::SolveStatus::kInfeasible:
+      // Only the empty schedule could be cut off; treat as zero delay.
+      out.valid = true;
+      out.delay = 0.0;
+      break;
+    default:
+      break;  // unbounded / iteration limit: no safe bound
+  }
+  return out;
+}
+
+/// Decision-mode switches of one bound() call (DESIGN.md §5.15).
+struct Decide {
+  /// The caller's fallback flag is already true, or the caller records
+  /// none: a search may pause once its round's outcome is fixed.
+  bool pause_ok = false;
+  /// Give the task up as soon as one of its bounds used a relaxation: the
+  /// caller has already seen a miss, so nothing it records depends on the
+  /// rest of this task.
+  bool stop_on_relaxation = false;
+};
+
+/// What one fixpoint round does next.
+enum class Step {
+  kMiss,       ///< the bound crossed the deadline
+  kConverged,  ///< the response stopped growing
+  kNext,       ///< another round on a larger window
+  kOpen,       ///< not fixed by what is known yet
+};
+
+/// Slack added on either side of a search's incumbent / dual bound so the
+/// bracket covers the LP round-off of later loop tops (lp::kObjectiveRoundoff).
+double roundoff(double value) {
+  return lp::kObjectiveRoundoff * std::max(1.0, std::abs(value));
+}
 
 /// Everything about a task that the delay MILP depends on *except* the LS
 /// flag (flags are expressed through patches, not rebuilds).  Arrival
@@ -181,6 +245,10 @@ struct FormulationEntry {
   std::uint64_t ls_marking = 0;  ///< marking at the last build/patch
   DelayMilp milp;
   std::vector<double> incumbent;  ///< last solve's values (may be empty)
+  /// Decision mode's last search of this model, paused once its round's
+  /// outcome was fixed.  A patch hit finishes it before reading
+  /// `incumbent`, so the carried incumbent is always exact mode's.
+  std::unique_ptr<lp::MilpSearch> paused;
 };
 
 struct TaskCacheEntry {
@@ -203,18 +271,32 @@ struct AnalysisEngine::Impl {
     cache.resize(sig.size());
   }
 
+  FormulationEntry& slot(rt::TaskIndex i, FormulationCase fcase,
+                         const AnalysisOptions& options) {
+    return cache[i].slots[entry_slot(fcase, options.ignore_ls)];
+  }
   DelayBound solve_delay(const rt::TaskSet& tasks, rt::TaskIndex i, Time t,
                          FormulationCase fcase,
-                         const AnalysisOptions& options);
+                         const AnalysisOptions& options,
+                         const lp::StopRule& stop = {});
   TaskBoundResult bound(const rt::TaskSet& tasks, rt::TaskIndex i,
-                        const AnalysisOptions& options);
+                        const AnalysisOptions& options,
+                        const Decide* decide = nullptr);
   std::vector<TaskBoundResult> bound_all(const rt::TaskSet& tasks,
                                          const AnalysisOptions& options);
   NpsTaskBound nps(const rt::TaskSet& tasks, rt::TaskIndex i);
   WpResult marked(const rt::TaskSet& tasks, const AnalysisOptions& options);
+  /// Decision mode's WP verdict: bounds in priority order and stops at the
+  /// first miss, or, when `track_fallback`, once a miss and a relaxation
+  /// have both been seen.  Entries after the stop stay TaskBoundResult{}.
+  WpResult decide_wp(const rt::TaskSet& tasks, const AnalysisOptions& options,
+                     bool track_fallback);
+  /// Greedy marking; `decision` selects decision mode and whether it keeps
+  /// any_relaxation_fallback exact.
   ProposedResult proposed(const rt::TaskSet& tasks,
                           const AnalysisOptions& options,
-                          const WpResult* wp_round0);
+                          const WpResult* wp_round0,
+                          std::optional<bool> decision = std::nullopt);
   ApproachResult dispatch(const rt::TaskSet& tasks, Approach approach,
                           const AnalysisOptions& options);
 };
@@ -222,7 +304,8 @@ struct AnalysisEngine::Impl {
 DelayBound AnalysisEngine::Impl::solve_delay(const rt::TaskSet& tasks,
                                              rt::TaskIndex i, Time t,
                                              FormulationCase fcase,
-                                             const AnalysisOptions& options) {
+                                             const AnalysisOptions& options,
+                                             const lp::StopRule& stop) {
   std::size_t intervals = 2;
   switch (fcase) {
     case FormulationCase::kNls:
@@ -235,9 +318,18 @@ DelayBound AnalysisEngine::Impl::solve_delay(const rt::TaskSet& tasks,
       break;
   }
 
-  FormulationEntry& e = cache[i].slots[entry_slot(fcase, options.ignore_ls)];
+  FormulationEntry& e = slot(i, fcase, options);
   const std::uint64_t marking = marking_mask(tasks);
   const bool hit = e.valid && e.num_intervals == intervals;
+  if (hit && e.paused) {
+    // Finish the paused search on the model it was started on (it holds
+    // its own copy), so the incumbent carried below is exact mode's.
+    e.paused->run();
+    const lp::MilpResult& res = e.paused->result();
+    audit_incumbent(e.milp.model, res, tasks, i, t);
+    if (res.has_incumbent) e.incumbent = res.values;
+    e.paused.reset();
+  }
   if (hit) {
     // The window length (budget RHS) and — for patchable formulations —
     // the LS marking (admission bounds, cancellation RHS) are the only
@@ -254,6 +346,7 @@ DelayBound AnalysisEngine::Impl::solve_delay(const rt::TaskSet& tasks,
     e.valid = true;
     e.num_intervals = intervals;
     e.incumbent.clear();
+    e.paused.reset();
     telemetry::count("analysis.milp_builds");
   }
   e.ls_marking = marking;
@@ -297,53 +390,36 @@ DelayBound AnalysisEngine::Impl::solve_delay(const rt::TaskSet& tasks,
   if (hit) {
     milp_options.start_values = e.incumbent;
   }
-  const lp::MilpResult res = lp::solve_milp(e.milp.model, milp_options);
+  lp::MilpSearch search(e.milp.model, milp_options);
+  if (!search.run(stop)) {
+    // The round's outcome is fixed; the search waits in the slot.  Its
+    // bound rests on a dual bound, which the relaxation flag reports.
+    e.paused = std::make_unique<lp::MilpSearch>(std::move(search));
+    out.valid = true;
+    out.paused = true;
+    out.relaxation = true;
+    return out;
+  }
+  const lp::MilpResult& res = search.result();
   audit_incumbent(e.milp.model, res, tasks, i, t);
   if (res.has_incumbent) {
     e.incumbent = res.values;
   }
-  out.nodes = res.nodes;
-  out.lp_iterations = res.lp_iterations;
-  switch (res.status) {
-    case lp::SolveStatus::kOptimal:
-      out.valid = true;
-      // best_bound equals the objective when optimality was proven and is
-      // the safe dual bound when the search stopped at the relative gap.
-      out.delay = res.best_bound;
-      out.relaxation = res.gap_terminated;
-      if (res.gap_terminated) {
-        telemetry::count("analysis.fallbacks.gap_terminated");
-      }
-      break;
-    case lp::SolveStatus::kNodeLimit:
-      // Dual bound >= true maximum: safe.
-      if (std::isfinite(res.best_bound)) {
-        out.valid = true;
-        out.delay = res.best_bound;
-        out.relaxation = true;
-        telemetry::count("analysis.fallbacks.node_limit");
-      }
-      break;
-    case lp::SolveStatus::kInfeasible:
-      // Only the empty schedule could be cut off; treat as zero delay.
-      out.valid = true;
-      out.delay = 0.0;
-      break;
-    default:
-      break;  // unbounded / iteration limit: no safe bound
-  }
-  return out;
+  return delay_of(res);
 }
 
 TaskBoundResult AnalysisEngine::Impl::bound(const rt::TaskSet& tasks,
                                             rt::TaskIndex i,
-                                            const AnalysisOptions& options) {
+                                            const AnalysisOptions& options,
+                                            const Decide* decide) {
   MCS_REQUIRE(i < tasks.size(), "bound_response_time: bad task index");
   sync_task_set(tasks);
   const telemetry::ScopedTimer timer("analysis.bound_response_time");
   telemetry::count("analysis.tasks_analyzed");
   const rt::Task& task = tasks[i];
   const bool analyzed_ls = task.latency_sensitive && !options.ignore_ls;
+  const FormulationCase fcase =
+      analyzed_ls ? FormulationCase::kLsCaseA : FormulationCase::kNls;
 
   TaskBoundResult result;
   Time response = task.total_demand();  // R^(0) = l + C + u
@@ -370,15 +446,57 @@ TaskBoundResult AnalysisEngine::Impl::bound(const rt::TaskSet& tasks,
     case_b_delay = b.delay;
   }
 
+  // The response a round's delay bound leads to (before the monotone max);
+  // kTimeMax for a bound too large to tick.
+  const auto response_for = [&](double delay) -> Time {
+    if (!(delay < 4e18)) return rt::kTimeMax;
+    return delay_to_ticks(std::max(delay, case_b_delay)) + task.copy_out;
+  };
+  const auto window_at = [&](Time r) {
+    const Time t = r - task.exec - task.copy_out;
+    return analyzed_ls ? window_intervals_ls(tasks, i, t)
+                       : window_intervals_nls(tasks, i, t);
+  };
+
+  // Exact mode's response lies in [response, response_hi].  The two differ
+  // only after a decision-mode search paused on a move to a larger window;
+  // `pending` is that search, and finishing it pins the response.
+  Time response_hi = response;
+  std::unique_ptr<lp::MilpSearch> pending;
   std::vector<std::uint64_t> prev_budgets;
   double prev_ls_releases = -1.0;
+
+  // What the round does once its delay bound is known to lead to a
+  // response in [n_lo, n_hi]; kOpen unless every response in the interval
+  // and every exact-mode response so far agree (DESIGN.md §5.15).
+  const auto step_for = [&](Time n_lo, Time n_hi) {
+    if (std::max(response, n_lo) > task.deadline) return Step::kMiss;
+    if (n_hi <= response) return Step::kConverged;
+    if (n_lo <= response_hi || n_hi > task.deadline) return Step::kOpen;
+    if (n_lo == n_hi) return Step::kNext;
+    // Budgets are monotone step functions of the window, so equal budgets
+    // at both ends mean one next-window cell, hence one next MILP.  It must
+    // be a fresh build (the interval count changes: no carried incumbent)
+    // or this round's own cell (the next round converges unsolved).
+    const Time t_lo = n_lo - task.exec - task.copy_out;
+    const Time t_hi = n_hi - task.exec - task.copy_out;
+    const double ls_lo = ls_release_budget(tasks, t_lo, options.ignore_ls);
+    if (ls_lo != ls_release_budget(tasks, t_hi, options.ignore_ls)) {
+      return Step::kOpen;
+    }
+    std::vector<std::uint64_t> budgets = interference_budgets(tasks, i, t_lo);
+    if (budgets != interference_budgets(tasks, i, t_hi)) return Step::kOpen;
+    const bool same_cell =
+        budgets == prev_budgets && ls_lo == prev_ls_releases;
+    return same_cell || window_at(n_lo) != window_at(response) ? Step::kNext
+                                                               : Step::kOpen;
+  };
+
   for (std::size_t iter = 0; iter < kMaxOuterIterations; ++iter) {
     ++result.outer_iterations;
     telemetry::count("analysis.fixpoint_rounds");
     const Time t = response - task.exec - task.copy_out;
     MCS_ASSERT(t >= 0, "negative delay window");
-    const FormulationCase fcase = analyzed_ls ? FormulationCase::kLsCaseA
-                                              : FormulationCase::kNls;
     const std::size_t window = analyzed_ls
                                    ? window_intervals_ls(tasks, i, t)
                                    : window_intervals_nls(tasks, i, t);
@@ -390,20 +508,48 @@ TaskBoundResult AnalysisEngine::Impl::bound(const rt::TaskSet& tasks,
     // *identical*, so its value is too: fixpoint reached.  (Comparing the
     // budgets rather than the interval count alone is exact: the count is
     // derived from the budget sum and can mask a changed cancellation
-    // budget or clamp-equal windows with different budgets.)
+    // budget or clamp-equal windows with different budgets.)  A response
+    // interval never straddles a budget step (step_for), so its lower end
+    // stands for all of it.
     std::vector<std::uint64_t> budgets = interference_budgets(tasks, i, t);
     const double ls_releases =
         ls_release_budget(tasks, t, options.ignore_ls);
     if (iter > 0 && budgets == prev_budgets &&
         ls_releases == prev_ls_releases) {
-      result.wcrt = response;
-      result.schedulable = response <= task.deadline;
+      result.wcrt = response_hi;
+      result.schedulable = response_hi <= task.deadline;
       return result;
     }
     prev_budgets = std::move(budgets);
     prev_ls_releases = ls_releases;
 
-    const DelayBound a = solve_delay(tasks, i, t, fcase, options);
+    // Decision mode: pause the search at the first loop top whose bracket
+    // [incumbent, dual bound] (widened by round-off) fixes the step.  Exact
+    // mode's final bound lies in every such bracket along its own search.
+    Time paused_lo = 0;
+    Time paused_hi = 0;
+    lp::StopRule stop;
+    if (decide != nullptr &&
+        (decide->pause_ok || result.used_relaxation_bound)) {
+      stop = [&, memo_lo = Time{-1}, memo_hi = Time{-1},
+              memo = Step::kOpen](const lp::SearchBounds& b) mutable {
+        const double lo = std::isfinite(b.incumbent)
+                              ? b.incumbent - roundoff(b.incumbent)
+                              : 0.0;
+        const Time n_lo = response_for(std::max(0.0, lo));
+        const Time n_hi = response_for(b.dual_bound + roundoff(b.dual_bound));
+        if (n_lo != memo_lo || n_hi != memo_hi) {
+          memo_lo = n_lo;
+          memo_hi = n_hi;
+          memo = step_for(n_lo, n_hi);
+        }
+        paused_lo = n_lo;
+        paused_hi = n_hi;
+        return memo != Step::kOpen;
+      };
+    }
+
+    const DelayBound a = solve_delay(tasks, i, t, fcase, options, stop);
     result.milp_nodes += a.nodes;
     result.lp_iterations += a.lp_iterations;
     if (!a.valid) {
@@ -411,23 +557,55 @@ TaskBoundResult AnalysisEngine::Impl::bound(const rt::TaskSet& tasks,
     }
     result.used_relaxation_bound |= a.relaxation;
     result.degraded |= a.degraded;
+    if (decide != nullptr && decide->stop_on_relaxation &&
+        result.used_relaxation_bound) {
+      return result;
+    }
 
-    const double delay = std::max(a.delay, case_b_delay);
-    const Time new_response =
-        delay_to_ticks(delay) + task.copy_out;
     // The MILP value never shrinks as the window grows; keep monotone.
-    const Time next = std::max(response, new_response);
-    if (next > task.deadline) {
-      result.wcrt = next;
-      result.exceeded_deadline = true;
-      return result;
+    const Time n_lo = a.paused ? paused_lo : response_for(a.delay);
+    const Time n_hi = a.paused ? paused_hi : n_lo;
+    Step step = step_for(n_lo, n_hi);
+    if (step == Step::kOpen) {
+      // Only a finished search gets here, with a delay that lands inside a
+      // response interval: finish the search that set the interval.
+      MCS_ASSERT(!a.paused && pending != nullptr,
+                 "decision mode: undecided round without a pending search");
+      telemetry::count("analysis.decision.pending_finished");
+      pending->run();
+      const DelayBound p = delay_of(pending->result());
+      pending.reset();
+      result.milp_nodes += p.nodes;
+      result.lp_iterations += p.lp_iterations;
+      if (!p.valid) {
+        return result;  // exact mode stopped at that round: no safe bound
+      }
+      response = response_hi = response_for(p.delay);
+      step = step_for(n_lo, n_hi);
     }
-    if (next == response) {
-      result.wcrt = response;
-      result.schedulable = true;
-      return result;
+    switch (step) {
+      case Step::kMiss:
+        result.wcrt = std::max(response_hi, n_hi);
+        result.exceeded_deadline = true;
+        return result;
+      case Step::kConverged:
+        result.wcrt = response_hi;
+        result.schedulable = true;
+        return result;
+      case Step::kNext:
+        break;
+      case Step::kOpen:
+        MCS_ASSERT(false, "decision mode: exact round left undecided");
     }
-    response = next;
+    // A paused search moving to a new interval count is dropped by the
+    // next round's rebuild: keep it, in case that round needs the exact
+    // response.  Otherwise it stays in its slot for a later patch hit.
+    pending.reset();
+    if (a.paused && n_lo != n_hi && window_at(n_lo) != window) {
+      pending = std::move(slot(i, fcase, options).paused);
+    }
+    response = n_lo;
+    response_hi = n_hi;
   }
   // Iteration cap hit without convergence: no safe claim below deadline.
   result.wcrt = rt::kTimeMax;
@@ -478,7 +656,8 @@ WpResult AnalysisEngine::Impl::marked(const rt::TaskSet& tasks,
 
 ProposedResult AnalysisEngine::Impl::proposed(const rt::TaskSet& tasks,
                                               const AnalysisOptions& options,
-                                              const WpResult* wp_round0) {
+                                              const WpResult* wp_round0,
+                                              std::optional<bool> decision) {
   MCS_REQUIRE(!options.ignore_ls,
               "analyze_proposed: ignore_ls belongs to the WP baseline");
   const std::size_t n = tasks.size();
@@ -529,7 +708,10 @@ ProposedResult AnalysisEngine::Impl::proposed(const rt::TaskSet& tasks,
   }
 
   const auto bound_task = [&](rt::TaskIndex i) {
-    return bound(working, i, options);
+    if (!decision) return bound(working, i, options);
+    // A search may pause once the flag the caller records is settled.
+    const Decide decide{!*decision || result.any_relaxation_fallback, false};
+    return bound(working, i, options, &decide);
   };
 
   // At most one promotion per round and at most n rounds.
@@ -549,6 +731,30 @@ ProposedResult AnalysisEngine::Impl::proposed(const rt::TaskSet& tasks,
     working[*failing].latency_sensitive = true;
   }
   return result;  // defensive: cannot be reached (n+1 rounds, n promotions)
+}
+
+WpResult AnalysisEngine::Impl::decide_wp(const rt::TaskSet& tasks,
+                                         const AnalysisOptions& options,
+                                         bool track_fallback) {
+  const AnalysisOptions wp = wp_options(options);
+  WpResult result;
+  result.schedulable = true;
+  result.per_task.assign(tasks.size(), TaskBoundResult{});
+  for (const rt::TaskIndex i : tasks.by_priority()) {
+    const Decide decide{!track_fallback || result.any_relaxation_fallback,
+                        !result.schedulable};
+    const TaskBoundResult& b = result.per_task[i] = bound(tasks, i, wp,
+                                                          &decide);
+    result.any_relaxation_fallback |= b.used_relaxation_bound;
+    result.degraded |= b.degraded;
+    result.total_milp_nodes += b.milp_nodes;
+    result.schedulable = result.schedulable && b.schedulable;
+    if (!result.schedulable &&
+        (!track_fallback || result.any_relaxation_fallback)) {
+      break;
+    }
+  }
+  return result;
 }
 
 ApproachResult AnalysisEngine::Impl::dispatch(const rt::TaskSet& tasks,
@@ -631,6 +837,68 @@ ApproachResult AnalysisEngine::analyze(const rt::TaskSet& tasks,
                                        Approach approach,
                                        const AnalysisOptions& options) {
   return impl_->dispatch(tasks, approach, options);
+}
+
+namespace {
+
+Decision decision_of(bool schedulable, bool fallback,
+                     std::vector<bool> ls_flags,
+                     const std::vector<TaskBoundResult>& per_task) {
+  Decision d;
+  d.schedulable = schedulable;
+  d.any_relaxation_fallback = fallback;
+  d.ls_flags = std::move(ls_flags);
+  for (const TaskBoundResult& b : per_task) d.wcrt.push_back(b.wcrt);
+  return d;
+}
+
+}  // namespace
+
+SweepDecision AnalysisEngine::decide(const rt::TaskSet& tasks,
+                                     const AnalysisOptions& options) {
+  const std::vector<bool> all_nls(tasks.size(), false);
+  const WpResult wp = impl_->decide_wp(tasks, options, true);
+  SweepDecision d;
+  d.wp = decision_of(wp.schedulable, wp.any_relaxation_fallback, all_nls,
+                     wp.per_task);
+  if (wp.schedulable) {
+    // Greedy round 0 is the WP analysis; when it succeeds its verdict is
+    // the proposed one, relaxation fallbacks included.
+    d.proposed = d.wp;
+    return d;
+  }
+  const ProposedResult prop = impl_->proposed(tasks, options, &wp, true);
+  d.proposed = decision_of(prop.schedulable, prop.any_relaxation_fallback,
+                           prop.ls_flags, prop.per_task);
+  return d;
+}
+
+Decision AnalysisEngine::decide(const rt::TaskSet& tasks, Approach approach,
+                                const AnalysisOptions& options) {
+  MCS_REQUIRE(approach != Approach::kNonPreemptive,
+              "decide: NPS has no MILP to stop early; use analyze");
+  if (approach == Approach::kWasilyPellizzoni) {
+    const WpResult wp = impl_->decide_wp(tasks, options, false);
+    return decision_of(wp.schedulable, wp.any_relaxation_fallback,
+                       std::vector<bool>(tasks.size(), false), wp.per_task);
+  }
+  const ProposedResult prop = impl_->proposed(tasks, options, nullptr, false);
+  return decision_of(prop.schedulable, prop.any_relaxation_fallback,
+                     prop.ls_flags, prop.per_task);
+}
+
+bool AnalysisEngine::decide_task(const rt::TaskSet& tasks, rt::TaskIndex i,
+                                 Approach approach,
+                                 const AnalysisOptions& options) {
+  MCS_REQUIRE(approach != Approach::kNonPreemptive,
+              "decide_task: NPS has no MILP to stop early; use nps_bound");
+  const Decide decide{true, false};
+  return impl_
+      ->bound(tasks, i,
+              approach == Approach::kWasilyPellizzoni ? wp_options(options)
+                                                      : options,
+              &decide)
+      .schedulable;
 }
 
 OpaResult AnalysisEngine::audsley_assign(const rt::TaskSet& tasks,

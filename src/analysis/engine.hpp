@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "analysis/greedy.hpp"
 #include "analysis/nps.hpp"
@@ -48,6 +49,28 @@
 #include "rt/task.hpp"
 
 namespace mcs::analysis {
+
+/// Decision mode's answer for one approach (DESIGN.md §5.15): the verdict,
+/// the fallback flag and the LS marking, each equal to exact mode's, plus
+/// a safe upper bound on each WCRT.
+struct Decision {
+  bool schedulable = false;
+  /// Exact mode's any_relaxation_fallback.  Only decide(tasks, options)
+  /// keeps it; the one-approach decide() records no flag and may report
+  /// either value.
+  bool any_relaxation_fallback = false;
+  /// LS marking the greedy algorithm chose (all false for WP).
+  std::vector<bool> ls_flags;
+  /// Per task, >= exact mode's WCRT bound; kTimeMax where no bound below
+  /// the deadline was established or the pass stopped before the task.
+  std::vector<rt::Time> wcrt;
+};
+
+/// The two verdicts a Figure-2 sweep unit records besides NPS.
+struct SweepDecision {
+  Decision wp;
+  Decision proposed;
+};
 
 struct EngineConfig {
   /// Must be 1; kept so existing callers compile.  The constructor rejects
@@ -100,6 +123,31 @@ class AnalysisEngine {
 
   ApproachResult analyze(const rt::TaskSet& tasks, Approach approach,
                          const AnalysisOptions& options = {});
+
+  /// Decision mode (DESIGN.md §5.15): verdicts only.  Every fixpoint round
+  /// still runs, but its branch & bound pauses as soon as the round's
+  /// outcome (a miss, convergence, or the next window) is the same for
+  /// every delay between the incumbent and the dual bound, so exact mode
+  /// would reach it too.  Exact-mode WCRTs need analyze_*.
+  ///
+  /// The Figure-2 unit: WP bounded in priority order until a miss and a
+  /// relaxation have both been seen, then greedy marking from the WP
+  /// prefix as round 0 (or the WP verdict itself when WP succeeds).  Both
+  /// fallback flags equal exact mode's: a search pauses only once the flag
+  /// it feeds is already true.
+  SweepDecision decide(const rt::TaskSet& tasks,
+                       const AnalysisOptions& options = {});
+  /// One approach's verdict and LS marking, without a fallback flag, so
+  /// searches pause freely.  kWasilyPellizzoni stops at the first miss;
+  /// kProposed runs greedy marking from scratch, as analyze_proposed
+  /// without wp_round0 does.  Not for kNonPreemptive (no MILP).
+  Decision decide(const rt::TaskSet& tasks, Approach approach,
+                  const AnalysisOptions& options = {});
+  /// One task's verdict under the current priorities and, for kProposed,
+  /// the current LS marking: the test audsley_assign runs.  Not for
+  /// kNonPreemptive.
+  bool decide_task(const rt::TaskSet& tasks, rt::TaskIndex i,
+                   Approach approach, const AnalysisOptions& options = {});
   OpaResult audsley_assign(const rt::TaskSet& tasks, Approach approach,
                            const AnalysisOptions& options = {});
 

@@ -83,51 +83,21 @@ SweepSpec experiment_sweep_spec(const ExperimentConfig& config) {
     const rt::TaskSet tasks = gen::generate_task_set(gen_cfg, rng);
 
     // One analysis engine per task set (serial inside — the sweep already
-    // parallelizes across units).  The three approaches keep separate
-    // cache entries: NPS its memo, WP the ignore_ls slot, proposed the LS
-    // slots, which its greedy rounds patch from round to round.
+    // parallelizes across units).  The unit records verdicts and fallback
+    // flags only, so WP and proposed run in decision mode: WP stops once a
+    // miss and a relaxation have both been seen, greedy marking starts
+    // from the WP prefix as its round 0, and each delay MILP's search
+    // stops once its round's outcome is fixed.  Verdicts and flags equal
+    // exact mode's analyze_wp / analyze_proposed (DESIGN.md §5.15).
     analysis::AnalysisEngine engine;
 
     const auto nps =
         engine.analyze(tasks, Approach::kNonPreemptive, config.analysis);
-
-    // Verdict-only WP pass.  The unit records WP's verdict and its fallback
-    // flag, and greedy round 0 reads the WP bounds only in priority order up
-    // to the first miss.  So bound in priority order and stop once both
-    // recorded facts are decided: a miss has been seen and some bound used
-    // a relaxation.  Skipped entries stay TaskBoundResult{}, and only the
-    // two recorded facts are folded in.  WP bounds live in their own cache
-    // slot (ignore_ls), so every bound computed here, and every later
-    // proposed bound, is bit-identical to what a full analyze_wp pass
-    // would give.
-    analysis::AnalysisOptions wp_options = config.analysis;
-    wp_options.ignore_ls = true;
-    analysis::WpResult wp;
-    wp.schedulable = true;
-    wp.per_task.assign(tasks.size(), analysis::TaskBoundResult{});
-    for (const rt::TaskIndex i : tasks.by_priority()) {
-      const analysis::TaskBoundResult& b = wp.per_task[i] =
-          engine.bound_response_time(tasks, i, wp_options);
-      wp.any_relaxation_fallback |= b.used_relaxation_bound;
-      wp.schedulable = wp.schedulable && b.schedulable;
-      if (!wp.schedulable && wp.any_relaxation_fallback) break;
-    }
-
-    // Greedy round 0 equals the WP analysis.  When WP succeeded its
-    // verdict *is* the proposed one (round 0 all-NLS, schedulable) —
-    // including any reliance on a relaxation fallback.  Otherwise hand the
-    // WP prefix to the greedy loop as its round 0 so it starts promoting
-    // directly.
-    bool proposed_ok = wp.schedulable;
-    bool proposed_fb = false;
-    if (proposed_ok) {
-      proposed_fb = wp.any_relaxation_fallback;
-    } else {
-      const auto prop =
-          engine.analyze_proposed(tasks, config.analysis, &wp);
-      proposed_ok = prop.schedulable;
-      proposed_fb = prop.any_relaxation_fallback;
-    }
+    const analysis::SweepDecision decided =
+        engine.decide(tasks, config.analysis);
+    const analysis::Decision& wp = decided.wp;
+    const bool proposed_ok = decided.proposed.schedulable;
+    const bool proposed_fb = decided.proposed.any_relaxation_fallback;
 
     std::vector<std::uint64_t> metrics(kMetricCount, 0);
     metrics[kProposed] = proposed_ok ? 1 : 0;

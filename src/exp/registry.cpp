@@ -5,7 +5,6 @@
 #include <string>
 
 #include "analysis/engine.hpp"
-#include "analysis/greedy.hpp"
 #include "analysis/opa.hpp"
 #include "analysis/response_time.hpp"
 #include "analysis/schedulability.hpp"
@@ -62,32 +61,32 @@ SweepSpec make_figure2() {
   return experiment_sweep_spec(figure2_config(Inset));
 }
 
+// The ablations record verdicts only (no fallback column), so every
+// analysis below runs in the engine's decision mode, whose searches stop
+// as soon as a round's outcome is fixed (DESIGN.md §5.15).
+
 /// Schedulability with a fixed all-LS marking (no greedy).
 bool all_ls_schedulable(rt::TaskSet tasks,
                         const analysis::AnalysisOptions& options) {
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     tasks[i].latency_sensitive = true;
   }
+  analysis::AnalysisEngine engine;
   for (rt::TaskIndex i = 0; i < tasks.size(); ++i) {
-    if (!analysis::bound_response_time(tasks, i, options).schedulable) {
+    if (!engine.decide_task(tasks, i, analysis::Approach::kProposed,
+                            options)) {
       return false;
     }
   }
   return true;
 }
 
-/// WP verdict (the analysis of [3]) under the task set's priorities: the
-/// ablations record only the verdict, so bound tasks in priority order on
-/// one engine and stop at the first miss, which decides it.
+/// WP verdict (the analysis of [3]) under the task set's priorities.
 bool wp_schedulable(const rt::TaskSet& tasks,
                     const analysis::AnalysisOptions& options) {
-  analysis::AnalysisOptions wp = options;
-  wp.ignore_ls = true;
   analysis::AnalysisEngine engine;
-  for (const rt::TaskIndex i : tasks.by_priority()) {
-    if (!engine.bound_response_time(tasks, i, wp).schedulable) return false;
-  }
-  return true;
+  return engine.decide(tasks, analysis::Approach::kWasilyPellizzoni, options)
+      .schedulable;
 }
 
 // LS-marking ablation (paper §VI): the greedy algorithm marks tasks
@@ -107,7 +106,9 @@ std::vector<std::uint64_t> evaluate_ablation_ls(const SweepUnit& unit,
 
   const bool none_ok = wp_schedulable(tasks, options);
   const bool greedy_ok =
-      none_ok || analysis::analyze_proposed(tasks, options).schedulable;
+      none_ok || analysis::AnalysisEngine()
+                     .decide(tasks, analysis::Approach::kProposed, options)
+                     .schedulable;
   const bool all_ok = all_ls_schedulable(tasks, options);
   return std::vector<std::uint64_t>{none_ok ? 1u : 0u, greedy_ok ? 1u : 0u,
                                     all_ok ? 1u : 0u};
@@ -151,10 +152,15 @@ std::vector<std::uint64_t> evaluate_ablation_priority(const SweepUnit& unit,
       audsley_assign(tasks, analysis::Approach::kNonPreemptive, options)
           .schedulable;
   const bool w_dm = wp_schedulable(tasks, options);
+  analysis::AnalysisEngine engine;
   const bool w_opa =
       w_dm ||
-      audsley_assign(tasks, analysis::Approach::kWasilyPellizzoni, options)
-          .schedulable;
+      analysis::audsley_assign(tasks, [&](const rt::TaskSet& set,
+                                          rt::TaskIndex i) {
+        return engine.decide_task(set, i,
+                                  analysis::Approach::kWasilyPellizzoni,
+                                  options);
+      }).schedulable;
   return std::vector<std::uint64_t>{n_dm ? 1u : 0u, n_opa ? 1u : 0u,
                                     w_dm ? 1u : 0u, w_opa ? 1u : 0u};
 }

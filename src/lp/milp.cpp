@@ -80,9 +80,14 @@ using IntBounds = std::vector<std::pair<double, double>>;
 
 class BranchAndBound {
  public:
-  explicit BranchAndBound(const Model& model)
-      : base_(model),
-        maximize_(model.objective_sense() == Sense::kMaximize) {
+  /// Search of `model` under `options`.  `model` is read only until the
+  /// first run() has set up the root; the search then holds its own
+  /// clamped copy.
+  BranchAndBound(const Model& model, const MilpOptions& options)
+      : base_(&model),
+        opt_(options),
+        maximize_(model.objective_sense() == Sense::kMaximize),
+        open_(NodeOrder{maximize_}) {
     for (std::size_t i = 0; i < model.num_variables(); ++i) {
       if (model.variables()[i].type != VarType::kContinuous) {
         int_vars_.push_back(i);
@@ -90,8 +95,11 @@ class BranchAndBound {
     }
   }
 
-  /// The branch & bound search under `options`.  One search per instance.
-  MilpResult run(const MilpOptions& options);
+  /// Runs the search until it finishes (true; result() holds the answer) or
+  /// `stop` fires at a loop top (false).  A paused search resumes exactly
+  /// where it stopped: the pause returns before the next node is popped.
+  bool run(const StopRule* stop);
+  MilpResult& result() noexcept { return result_; }
 
   std::size_t bound_deltas_applied() const noexcept { return deltas_; }
   std::size_t warm_solves() const noexcept {
@@ -102,6 +110,21 @@ class BranchAndBound {
   }
 
  private:
+  /// How a stretch of the node loop ended.
+  enum class Explore {
+    kPaused,    ///< the stop rule fired
+    kReturned,  ///< result_ is final (gap, unbounded or iteration limit)
+    kDrained,   ///< no open node left, or the node budget ran out
+  };
+
+  /// Everything before the node loop: the pure-LP and unboundedness
+  /// checks, the root set-up, the seeded incumbent and the root node.
+  /// Returns true when that already settled the result.
+  bool start();
+  Explore explore(const StopRule* stop);
+  /// Polishes the incumbent and sets the final status and dual bound.
+  void conclude();
+
   /// Sets up the root: clamped integral bounds, the clamped model copy,
   /// and the node-relaxation solver over it.  Returns false when a clamped
   /// integral domain is empty (infeasible).
@@ -111,6 +134,22 @@ class BranchAndBound {
   }
   double worst_value() const {
     return maximize_ ? -kInfinity : kInfinity;
+  }
+
+  /// Best bound over every open node (the plunge child, the trail, the
+  /// queue head) and the within-gap drops.
+  double open_bound() const {
+    double bound = open_.empty() ? worst_value() : open_.top().bound;
+    if (carry_.has_value() && better(carry_->bound, bound)) {
+      bound = carry_->bound;
+    }
+    for (const OpenNode& t : trail_) {
+      if (better(t.bound, bound)) bound = t.bound;
+    }
+    if (dropped_any_ && better(dropped_bound_, bound)) {
+      bound = dropped_bound_;
+    }
+    return bound;
   }
 
   std::size_t solver_stat(std::size_t SimplexStats::* field) const {
@@ -202,16 +241,16 @@ class BranchAndBound {
   }
 
   void try_seed_incumbent(MilpResult& result) const {
-    if (opt_.start_values.size() != base_.num_variables()) return;
+    if (opt_.start_values.size() != base_->num_variables()) return;
     std::vector<double> snapped = opt_.start_values;
     for (const std::size_t v : int_vars_) {
       const double r = std::round(snapped[v]);
       if (std::abs(snapped[v] - r) > kIntegralityTol) return;
       snapped[v] = r;
     }
-    if (!base_.is_feasible(snapped, opt_.lp.feasibility_tol * 10.0)) return;
+    if (!base_->is_feasible(snapped, opt_.lp.feasibility_tol * 10.0)) return;
     result.has_incumbent = true;
-    result.objective = base_.evaluate(base_.objective(), snapped);
+    result.objective = base_->evaluate(base_->objective(), snapped);
     result.values = std::move(snapped);
   }
 
@@ -306,7 +345,7 @@ class BranchAndBound {
     return arena_.size() - 1;
   }
 
-  const Model& base_;
+  const Model* base_;  ///< the caller's model; null once start() is done
   MilpOptions opt_;
   bool maximize_;
   std::vector<std::size_t> int_vars_;
@@ -321,6 +360,29 @@ class BranchAndBound {
   std::deque<NodeDelta> arena_;
   std::vector<std::size_t> chain_;  ///< scratch for bounds_for
   std::size_t deltas_ = 0;
+
+  // Search state, kept between run() calls.
+  bool started_ = false;
+  MilpResult result_;
+  std::priority_queue<OpenNode, std::vector<OpenNode>, NodeOrder> open_;
+  std::size_t next_id_ = 0;
+  bool budget_exhausted_ = false;
+  IntBounds node_bounds_;
+  // Plunge child of the node just expanded: processed before anything from
+  // the queue, while the solver tableau still holds its parent's optimal
+  // basis (its relaxation is then a textbook dual restart — one bound
+  // tightened, a handful of pivots).
+  std::optional<OpenNode> carry_;
+  // Trail of the most recent unexplored siblings along the plunge (LIFO,
+  // capped at kTrailMax).  Backtracking to one of them keeps the tableau
+  // close; the oldest entries overflow into the best-first queue.
+  std::deque<OpenNode> trail_;
+  // Best bound among nodes discarded because they were already within the
+  // configured relative gap of the incumbent (their subtree can improve the
+  // answer by at most the tolerance).  Folded into the final dual bound so
+  // best_bound stays valid.
+  double dropped_bound_ = 0.0;
+  bool dropped_any_ = false;
 };
 
 bool BranchAndBound::setup_root() {
@@ -329,13 +391,13 @@ bool BranchAndBound::setup_root() {
   // argmax components beyond 1e9 are out of scope).
   root_bounds_.reserve(int_vars_.size());
   for (const std::size_t v : int_vars_) {
-    const Variable& mv = base_.variables()[v];
+    const Variable& mv = base_->variables()[v];
     const double lo = std::isfinite(mv.lower) ? std::ceil(mv.lower) : -1e9;
     const double hi = std::isfinite(mv.upper) ? std::floor(mv.upper) : 1e9;
     if (lo > hi) return false;
     root_bounds_.emplace_back(lo, hi);
   }
-  root_model_ = base_;
+  root_model_ = *base_;
   for (std::size_t k = 0; k < int_vars_.size(); ++k) {
     // Clamping in the model (not just the solver) gives every integral
     // variable a finite lower bound, which is what makes its simplex
@@ -348,13 +410,31 @@ bool BranchAndBound::setup_root() {
   return true;
 }
 
-MilpResult BranchAndBound::run(const MilpOptions& options) {
-  opt_ = options;
-  MilpResult result;
+bool BranchAndBound::run(const StopRule* stop) {
+  if (!started_) {
+    started_ = true;
+    const bool settled = start();
+    base_ = nullptr;
+    if (settled) return true;
+  }
+  switch (explore(stop)) {
+    case Explore::kPaused:
+      return false;
+    case Explore::kReturned:
+      return true;
+    case Explore::kDrained:
+      break;
+  }
+  conclude();
+  return true;
+}
+
+bool BranchAndBound::start() {
+  MilpResult& result = result_;
 
   // Pure LP: no branching needed.
   if (int_vars_.empty()) {
-    const LpSolution sol = solve_lp(base_, opt_.lp);
+    const LpSolution sol = solve_lp(*base_, opt_.lp);
     result.lp_iterations = sol.iterations;
     result.status = sol.status;
     if (sol.status == SolveStatus::kOptimal) {
@@ -363,7 +443,7 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
       result.best_bound = sol.objective;
       result.values = sol.values;
     }
-    return result;
+    return true;
   }
 
   // Detect unboundedness on the true relaxation before branching: the
@@ -372,61 +452,59 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
   // box-bounded model cannot have an unbounded relaxation, so the analysis
   // MILPs (all bounds finite) skip this extra cold LP entirely.
   bool all_finite = true;
-  for (const Variable& v : base_.variables()) {
+  for (const Variable& v : base_->variables()) {
     if (!std::isfinite(v.lower) || !std::isfinite(v.upper)) {
       all_finite = false;
       break;
     }
   }
   if (!all_finite) {
-    const LpSolution root = solve_lp(base_, opt_.lp);
+    const LpSolution root = solve_lp(*base_, opt_.lp);
     result.lp_iterations += root.iterations;
     if (root.status == SolveStatus::kUnbounded) {
       result.status = SolveStatus::kUnbounded;
-      return result;
+      return true;
     }
     if (root.status == SolveStatus::kInfeasible) {
       result.status = SolveStatus::kInfeasible;
-      return result;
+      return true;
     }
   }
 
   if (!setup_root()) {
     result.status = SolveStatus::kInfeasible;
-    return result;
+    return true;
   }
 
   try_seed_incumbent(result);
 
-  std::priority_queue<OpenNode, std::vector<OpenNode>, NodeOrder> open(
-      NodeOrder{maximize_});
-  std::size_t next_id = 0;
   arena_.push_back(NodeDelta{});  // root: no delta
-  open.push(OpenNode{maximize_ ? kInfinity : -kInfinity, next_id++, 0, 0});
+  open_.push(OpenNode{maximize_ ? kInfinity : -kInfinity, next_id_++, 0, 0});
 
   result.best_bound = worst_value();
-  bool budget_exhausted = false;
-  IntBounds node_bounds;
-  // Plunge child of the node just expanded: processed before anything from
-  // the queue, while the solver tableau still holds its parent's optimal
-  // basis (its relaxation is then a textbook dual restart — one bound
-  // tightened, a handful of pivots).
-  std::optional<OpenNode> carry;
-  // Trail of the most recent unexplored siblings along the plunge (LIFO,
-  // capped at kTrailMax).  Backtracking to one of them keeps the tableau
-  // close; the oldest entries overflow into the best-first queue.
-  std::deque<OpenNode> trail;
-  // Best bound among nodes discarded because they were already within the
-  // configured relative gap of the incumbent (their subtree can improve the
-  // answer by at most the tolerance).  Folded into the final dual bound so
-  // best_bound stays valid.
-  double dropped_bound = worst_value();
-  bool dropped_any = false;
+  dropped_bound_ = worst_value();
+  return false;
+}
+
+BranchAndBound::Explore BranchAndBound::explore(const StopRule* stop) {
+  MilpResult& result = result_;
+  auto& open = open_;
+  auto& carry = carry_;
+  auto& trail = trail_;
+  IntBounds& node_bounds = node_bounds_;
 
   while (carry.has_value() || !trail.empty() || !open.empty()) {
     if (result.nodes >= opt_.max_nodes) {
-      budget_exhausted = true;
+      budget_exhausted_ = true;
       break;
+    }
+    // The stop rule reads the state before the next pop, so a resumed
+    // search pops exactly the node an uninterrupted one would.
+    if (stop != nullptr &&
+        (*stop)(SearchBounds{
+            result.has_incumbent ? result.objective : worst_value(),
+            open_bound()})) {
+      return Explore::kPaused;
     }
     const bool plunged = carry.has_value();
     OpenNode node;
@@ -463,10 +541,22 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
       if (within) {
         result.status = SolveStatus::kOptimal;
         result.gap_terminated = true;
-        result.best_bound = dropped_any && better(dropped_bound, global_bound)
-                                ? dropped_bound
-                                : global_bound;
-        return result;
+        double bound = dropped_any_ && better(dropped_bound_, global_bound)
+                           ? dropped_bound_
+                           : global_bound;
+        // A dual bound cannot lie on the wrong side of a feasible point:
+        // when every open node's inherited bound has fallen past the
+        // incumbent, the incumbent itself is the tightest valid bound.  A
+        // difference within round-off is left alone: the unpolished
+        // objective carries that noise, and ceil() would turn it into a
+        // whole tick.
+        const double noise =
+            kObjectiveRoundoff * std::max(1.0, std::abs(result.objective));
+        if (better(result.objective, bound + (maximize_ ? noise : -noise))) {
+          bound = result.objective;
+        }
+        result.best_bound = bound;
+        return Explore::kReturned;
       }
       // A plunged node already within the gap cannot change the final
       // answer beyond the tolerance: drop it instead of exploring its
@@ -476,8 +566,8 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
                                    ? node.bound <= result.objective + tolerance
                                    : node.bound >= result.objective - tolerance;
       if (node_within) {
-        if (better(node.bound, dropped_bound)) dropped_bound = node.bound;
-        dropped_any = true;
+        if (better(node.bound, dropped_bound_)) dropped_bound_ = node.bound;
+        dropped_any_ = true;
         ++result.nodes_pruned;
         continue;
       }
@@ -509,11 +599,11 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
       // Relaxation unbounded at the root means the MILP is unbounded or
       // infeasible; report unbounded (callers treat it as "no finite bound").
       result.status = SolveStatus::kUnbounded;
-      return result;
+      return Explore::kReturned;
     }
     if (relax.status == SolveStatus::kIterationLimit) {
       result.status = SolveStatus::kIterationLimit;
-      return result;
+      return Explore::kReturned;
     }
 
     const double bound = relax.objective;
@@ -571,17 +661,21 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
     const std::size_t dive = go_down ? down : up;
     const std::size_t sibling = go_down ? up : down;
     if (sibling != npos) {
-      trail.push_back(OpenNode{bound, next_id++, node.depth + 1, sibling});
+      trail.push_back(OpenNode{bound, next_id_++, node.depth + 1, sibling});
       if (trail.size() > kTrailMax) {
         open.push(trail.front());
         trail.pop_front();
       }
     }
     if (dive != npos) {
-      carry = OpenNode{bound, next_id++, node.depth + 1, dive};
+      carry = OpenNode{bound, next_id_++, node.depth + 1, dive};
     }
   }
+  return Explore::kDrained;
+}
 
+void BranchAndBound::conclude() {
+  MilpResult& result = result_;
   // Polish: re-derive the incumbent's objective and continuous completion
   // with one clean cold solve at the fixed integral assignment.  Warm-path
   // extractions carry tableau round-off that depends on the exploration
@@ -609,48 +703,38 @@ MilpResult BranchAndBound::run(const MilpOptions& options) {
   }
 
   // Final status & dual bound.
-  if (budget_exhausted) {
+  if (budget_exhausted_) {
     result.status = SolveStatus::kNodeLimit;
     // Best-first queue: the strongest open bound is the queue head (no
     // drain needed), except that an unconsumed plunge child and the trail
     // also count as open nodes.
-    double open_bound = open.empty() ? worst_value() : open.top().bound;
-    if (carry.has_value() && better(carry->bound, open_bound)) {
-      open_bound = carry->bound;
-    }
-    for (const OpenNode& t : trail) {
-      if (better(t.bound, open_bound)) open_bound = t.bound;
-    }
-    if (dropped_any && better(dropped_bound, open_bound)) {
-      open_bound = dropped_bound;
-    }
+    const double bound = open_bound();
     result.best_bound = result.has_incumbent
-                            ? (better(open_bound, result.objective)
-                                   ? open_bound
+                            ? (better(bound, result.objective)
+                                   ? bound
                                    : result.objective)
-                            : open_bound;
+                            : bound;
     if (!std::isfinite(result.best_bound)) {
       // Root never solved: no finite dual bound available.
       result.best_bound = maximize_ ? kInfinity : -kInfinity;
     }
-    return result;
+    return;
   }
 
   if (result.has_incumbent) {
     result.status = SolveStatus::kOptimal;
     result.best_bound = result.objective;
-    if (dropped_any) {
+    if (dropped_any_) {
       // Some within-gap subtrees were discarded unexplored: the answer is
       // gap-optimal, not proven exact, and the dual bound reflects them.
       result.gap_terminated = true;
-      if (better(dropped_bound, result.best_bound)) {
-        result.best_bound = dropped_bound;
+      if (better(dropped_bound_, result.best_bound)) {
+        result.best_bound = dropped_bound_;
       }
     }
   } else {
     result.status = SolveStatus::kInfeasible;
   }
-  return result;
 }
 
 /// Incumbent clean-up in the model's own space.  Every incumbent leaves a
@@ -713,47 +797,66 @@ void repair_incumbent(const Model& model, double eps,
   }
 }
 
-/// Per-search counters the telemetry reports for one solve.
-struct SearchCounters {
+/// Cumulative work of one search, as reported to telemetry so far.
+struct SearchWork {
+  std::size_t nodes = 0;
+  std::size_t pruned = 0;
+  std::size_t lp_iterations = 0;
   std::size_t deltas = 0;
   std::size_t warm = 0;
   std::size_t fallbacks = 0;
 };
 
-MilpResult branch_and_bound(const Model& model, const MilpOptions& options,
-                            SearchCounters& counters) {
-  BranchAndBound bb(model);
-  MilpResult result = bb.run(options);
-  counters = {bb.bound_deltas_applied(), bb.warm_solves(),
-              bb.warm_fallbacks()};
-  return result;
-}
+}  // namespace
 
-MilpResult solve_with_presolve(const Model& base, const MilpOptions& options,
-                               SearchCounters& counters) {
-  presolve::Presolved pre;
+struct MilpSearch::Impl {
+  Impl(const Model& m, const MilpOptions& o) : model(&m), options(o) {}
+
+  /// The caller's model, or `owned` once the search has paused.
+  const Model* model;
+  std::optional<Model> owned;
+  MilpOptions options;
+  bool started = false;
+  bool finished = false;
+  presolve::Presolved pre;  ///< when options.use_presolve
+  std::unique_ptr<BranchAndBound> bb;
+  MilpResult result;
+  SearchWork reported;
+
+  /// Presolves (when enabled) and prepares the B&B.  Returns true when
+  /// presolve settled the model outright (result is then final).
+  bool begin();
+  /// Reports the work done since the last report.
+  void report(const SearchWork& now, bool first);
+};
+
+bool MilpSearch::Impl::begin() {
+  if (!options.use_presolve) {
+    bb = std::make_unique<BranchAndBound>(*model, options);
+    return false;
+  }
   {
     const support::telemetry::ScopedTimer timer("lp.presolve.run");
-    pre = presolve::presolve(base);
+    pre = presolve::presolve(*model);
   }
-  MilpResult result;
   if (pre.infeasible) {
     result.status = SolveStatus::kInfeasible;
-    return result;
+    return true;
   }
   if (pre.map.reduced_cols() == 0) {
     // Everything fixed: presolve solved the model outright.
     result.values = pre.map.postsolve_primal({});
-    if (!base.is_feasible(result.values, options.lp.feasibility_tol * 10.0)) {
+    if (!model->is_feasible(result.values,
+                            options.lp.feasibility_tol * 10.0)) {
       result.status = SolveStatus::kInfeasible;
       result.values.clear();
-      return result;
+      return true;
     }
     result.status = SolveStatus::kOptimal;
     result.has_incumbent = true;
-    result.objective = base.evaluate(base.objective(), result.values);
+    result.objective = model->evaluate(model->objective(), result.values);
     result.best_bound = result.objective;
-    return result;
+    return true;
   }
 
   MilpOptions ropt = options;
@@ -768,43 +871,96 @@ MilpResult solve_with_presolve(const Model& base, const MilpOptions& options,
       ropt.start_values = std::move(restricted);
     }
   }
-
-  result = branch_and_bound(pre.reduced, ropt, counters);
-  if (result.has_incumbent) {
-    result.values = pre.map.postsolve_primal(result.values);
-  }
-  return result;
+  bb = std::make_unique<BranchAndBound>(pre.reduced, ropt);
+  return false;
 }
 
-}  // namespace
-
-MilpResult solve_milp(const Model& model, const MilpOptions& options) {
+void MilpSearch::Impl::report(const SearchWork& now, bool first) {
   namespace telemetry = support::telemetry;
+  if (!telemetry::enabled()) {
+    reported = now;
+    return;
+  }
+  if (first) telemetry::count("milp.solves");
+  telemetry::count("milp.nodes_explored", now.nodes - reported.nodes);
+  telemetry::count("milp.nodes_pruned", now.pruned - reported.pruned);
+  telemetry::count("milp.lp_iterations",
+                   now.lp_iterations - reported.lp_iterations);
+  telemetry::count("milp.bound_deltas_applied", now.deltas - reported.deltas);
+  telemetry::count("milp.warm_start_hits",
+                   (now.warm - now.fallbacks) -
+                       (reported.warm - reported.fallbacks));
+  telemetry::count("milp.warm_start_fallbacks",
+                   now.fallbacks - reported.fallbacks);
+  reported = now;
+}
+
+MilpSearch::MilpSearch(const Model& model, const MilpOptions& options)
+    : impl_(std::make_unique<Impl>(model, options)) {}
+
+MilpSearch::~MilpSearch() = default;
+MilpSearch::MilpSearch(MilpSearch&&) noexcept = default;
+MilpSearch& MilpSearch::operator=(MilpSearch&&) noexcept = default;
+
+bool MilpSearch::finished() const noexcept { return impl_->finished; }
+
+const MilpResult& MilpSearch::result() const {
+  MCS_REQUIRE(impl_->finished, "MilpSearch::result: search not finished");
+  return impl_->result;
+}
+
+bool MilpSearch::run(const StopRule& stop) {
+  namespace telemetry = support::telemetry;
+  Impl& s = *impl_;
+  if (s.finished) return true;
   const telemetry::ScopedTimer timer("milp.solve");
-  SearchCounters counters;
-  MilpResult result = options.use_presolve
-                          ? solve_with_presolve(model, options, counters)
-                          : branch_and_bound(model, options, counters);
-  if (result.has_incumbent) {
-    repair_incumbent(model, options.lp.feasibility_tol * 10.0, result.values);
+  const bool first = !s.started;
+  if (!first) telemetry::count("milp.resumes");
+  s.started = true;
+  if (first && s.begin()) {
+    s.report({}, true);
+  } else {
+    BranchAndBound& bb = *s.bb;
+    const bool done = bb.run(stop ? &stop : nullptr);
+    const MilpResult& r = bb.result();
+    s.report({r.nodes, r.nodes_pruned, r.lp_iterations,
+              bb.bound_deltas_applied(), bb.warm_solves(),
+              bb.warm_fallbacks()},
+             first);
+    if (!done) {
+      if (!s.owned) {
+        s.owned = *s.model;
+        s.model = &*s.owned;
+      }
+      telemetry::count("milp.pauses");
+      return false;
+    }
+    s.result = std::move(bb.result());
+    if (s.options.use_presolve && s.result.has_incumbent) {
+      s.result.values = s.pre.map.postsolve_primal(s.result.values);
+    }
+    s.bb.reset();
+  }
+  if (s.result.has_incumbent) {
+    repair_incumbent(*s.model, s.options.lp.feasibility_tol * 10.0,
+                     s.result.values);
   }
   if (telemetry::enabled()) {
-    telemetry::count("milp.solves");
-    telemetry::count("milp.nodes_explored", result.nodes);
-    telemetry::count("milp.nodes_pruned", result.nodes_pruned);
-    telemetry::count("milp.lp_iterations", result.lp_iterations);
-    telemetry::count("milp.bound_deltas_applied", counters.deltas);
-    telemetry::count("milp.warm_start_hits",
-                     counters.warm - counters.fallbacks);
-    telemetry::count("milp.warm_start_fallbacks", counters.fallbacks);
-    if (result.gap_terminated) {
+    if (s.result.gap_terminated) {
       telemetry::count("milp.gap_terminations");
     }
-    if (result.status == SolveStatus::kNodeLimit) {
+    if (s.result.status == SolveStatus::kNodeLimit) {
       telemetry::count("milp.node_limit_hits");
     }
   }
-  return result;
+  s.finished = true;
+  return true;
+}
+
+MilpResult solve_milp(const Model& model, const MilpOptions& options) {
+  MilpSearch search(model, options);
+  search.run();
+  return std::move(search.impl_->result);
 }
 
 }  // namespace mcs::lp

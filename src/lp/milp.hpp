@@ -9,12 +9,21 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
 
 namespace mcs::lp {
+
+/// Relative round-off of the objective values a search reports: an
+/// incumbent's objective, the dual bound and the final best_bound differ
+/// from what exact arithmetic on the same path gives by far less than this
+/// times max(1, |value|).  Measured on the Figure-2(c) delay MILPs: at most
+/// 5e-16 (DESIGN.md §5.15).
+inline constexpr double kObjectiveRoundoff = 1e-9;
 
 struct MilpOptions {
   SimplexOptions lp;
@@ -73,6 +82,56 @@ struct MilpResult {
   /// proving optimality; objective and best_bound then differ by at most
   /// that factor.
   bool gap_terminated = false;
+};
+
+/// What a stop rule sees at a branch & bound loop top, in the model's sense
+/// (and, under presolve, in the reduced model's objective, which equals the
+/// original one on corresponding points).
+struct SearchBounds {
+  /// Incumbent objective; -infinity (maximization) or +infinity
+  /// (minimization) while there is none.
+  double incumbent = 0.0;
+  /// Global dual bound: the best bound over every open node (the plunge
+  /// child, the sibling trail, the best-first queue head) and the subtrees
+  /// dropped within the relative gap.  +-infinity before the root is solved.
+  double dual_bound = 0.0;
+};
+
+/// Returns true to pause the search at this loop top.
+using StopRule = std::function<bool(const SearchBounds&)>;
+
+/// A branch & bound search that a stop rule can pause and a later run()
+/// resume.  A run without a stop rule is exactly solve_milp; a search that
+/// is paused and then finished returns bit for bit what an uninterrupted
+/// run returns (same result fields, same nodes, same LP iterations), since
+/// a pause only returns from the loop top before the next node is popped.
+///
+/// Along one search the incumbent objective only improves and the dual
+/// bound only tightens (up to LP round-off), so the final `best_bound` lies
+/// between the two values a stop rule saw at any earlier loop top.  The
+/// analysis engine's decision mode builds on that (DESIGN.md §5.15).
+class MilpSearch {
+ public:
+  /// Prepares a search of `model`; nothing is solved before run().  The
+  /// model must stay alive and unchanged until the first run() returns.
+  MilpSearch(const Model& model, const MilpOptions& options);
+  ~MilpSearch();
+  MilpSearch(MilpSearch&&) noexcept;
+  MilpSearch& operator=(MilpSearch&&) noexcept;
+
+  /// Runs until the search finishes (returns true; result() holds the
+  /// answer) or `stop` fires at a loop top (returns false).  A paused
+  /// search keeps a copy of the model, so the caller may change or drop
+  /// its own before resuming.
+  bool run(const StopRule& stop = {});
+  bool finished() const noexcept;
+  /// The finished search's result.
+  const MilpResult& result() const;
+
+ private:
+  friend MilpResult solve_milp(const Model& model, const MilpOptions& options);
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
 };
 
 /// Solves `model` to optimality (or budget exhaustion).  The model is not

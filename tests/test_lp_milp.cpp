@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/milp_formulation.hpp"
+#include "gen/generator.hpp"
 #include "lp/model.hpp"
 #include "support/rng.hpp"
 
@@ -14,9 +19,12 @@ using mcs::lp::kInfinity;
 using mcs::lp::LinExpr;
 using mcs::lp::MilpOptions;
 using mcs::lp::MilpResult;
+using mcs::lp::MilpSearch;
 using mcs::lp::Model;
 using mcs::lp::Relation;
+using mcs::lp::SearchBounds;
 using mcs::lp::Sense;
+using mcs::lp::SimplexKernel;
 using mcs::lp::solve_lp;
 using mcs::lp::solve_milp;
 using mcs::lp::SolveStatus;
@@ -198,6 +206,56 @@ TEST(Milp, NodeLimitYieldsSafeBound) {
   EXPECT_GE(limited.best_bound, full.objective - kTol);
 }
 
+TEST(Milp, GapTerminationNeverReturnsABoundBelowTheIncumbent) {
+  // Fourteen binaries under four knapsack rows, solved at a 0.2% gap
+  // without presolve.  The search pops a queued node whose relaxation is
+  // integral and better than every node still open; the next loop top is
+  // within the gap, and the best open bound (161.528...) lies below the
+  // new incumbent (161.53).  A dual bound must not fall below a feasible
+  // point, so the reported bound is the incumbent's objective.
+  const double value[14] = {37.16, 27.18, 15.01, 6.07, 9.20, 9.11, 13.07,
+                            15.11, 22.05, 28.17, 22.07, 10.11, 39.01, 7.14};
+  const double rows[4][14] = {
+      {5, 5, 6, 0, 7, 8, 0, 0, 5, 0, 0, 0, 3, 3},
+      {4, 7, 0, 10, 0, 14, 11, 6, 2, 0, 3, 14, 6, 4},
+      {0, 7, 4, 0, 0, 2, 1, 0, 1, 2, 0, 0, 0, 0},
+      {2, 9, 14, 0, 14, 10, 0, 4, 14, 8, 4, 0, 0, 8}};
+  const double caps[4] = {14.5, 27.5, 5.5, 29.5};
+  Model m;
+  std::vector<VarId> x;
+  LinExpr obj;
+  for (std::size_t j = 0; j < 14; ++j) {
+    x.push_back(m.add_binary());
+    obj += value[j] * LinExpr(x.back());
+  }
+  m.set_objective(Sense::kMaximize, obj);
+  for (std::size_t r = 0; r < 4; ++r) {
+    LinExpr lhs;
+    for (std::size_t j = 0; j < 14; ++j) {
+      if (rows[r][j] != 0) lhs += rows[r][j] * LinExpr(x[j]);
+    }
+    m.add_constraint(lhs, Relation::kLe, caps[r]);
+  }
+  MilpOptions opt;
+  opt.relative_gap = 0.002;
+  opt.use_presolve = false;
+
+  // The stop rule sees the open bound fall below the incumbent.
+  bool crossed = false;
+  MilpSearch search(m, opt);
+  ASSERT_TRUE(search.run([&crossed](const SearchBounds& b) {
+    crossed |= b.dual_bound < b.incumbent;
+    return false;
+  }));
+  EXPECT_TRUE(crossed);
+
+  const MilpResult& r = search.result();
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(r.gap_terminated);
+  EXPECT_NEAR(r.objective, 161.53, 1e-9);
+  EXPECT_GE(r.best_bound, r.objective);
+}
+
 TEST(Milp, DeterministicAcrossRuns) {
   mcs::support::Rng rng(7);
   Model m;
@@ -222,10 +280,9 @@ TEST(Milp, DeterministicAcrossRuns) {
 // integer programs.
 // ---------------------------------------------------------------------------
 
-class MilpVsBruteForce : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(MilpVsBruteForce, MatchesEnumeration) {
-  mcs::support::Rng rng(GetParam() * 7919 + 3);
+/// A random pure integer program with a small finite domain per variable.
+Model random_integer_program(std::uint64_t seed) {
+  mcs::support::Rng rng(seed * 7919 + 3);
   Model m;
   const std::size_t n = 2 + static_cast<std::size_t>(rng.uniform_int(0, 3));
   const std::size_t rows = 1 + static_cast<std::size_t>(rng.uniform_int(0, 3));
@@ -250,7 +307,13 @@ TEST_P(MilpVsBruteForce, MatchesEnumeration) {
   }
   const Sense sense = rng.bernoulli(0.5) ? Sense::kMaximize : Sense::kMinimize;
   m.set_objective(sense, obj);
+  return m;
+}
 
+class MilpVsBruteForce : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MilpVsBruteForce, MatchesEnumeration) {
+  const Model m = random_integer_program(GetParam());
   bool feasible = false;
   const double expected = brute_force_best(m, feasible);
   const MilpResult r = solve_milp(m);
@@ -266,5 +329,159 @@ TEST_P(MilpVsBruteForce, MatchesEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MilpVsBruteForce,
                          ::testing::Range<std::uint64_t>(0, 120));
+
+// ---------------------------------------------------------------------------
+// Pause and resume: a search paused at any loop top and then finished is
+// the uninterrupted search, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// A random 0/1 knapsack, large enough for a real tree.
+Model random_knapsack(std::uint64_t seed, int items, double capacity) {
+  mcs::support::Rng rng(seed);
+  Model m;
+  LinExpr weight, value;
+  for (int i = 0; i < items; ++i) {
+    const VarId v = m.add_binary();
+    weight += rng.uniform(1.0, 5.0) * LinExpr(v);
+    value += rng.uniform(1.0, 9.0) * LinExpr(v);
+  }
+  m.add_constraint(weight, Relation::kLe, capacity);
+  m.set_objective(Sense::kMaximize, value);
+  return m;
+}
+
+/// Delay MILP of a generated four-task set over half of one task's period,
+/// with the engine's branching priorities.
+std::pair<Model, std::vector<int>> delay_milp(std::uint64_t seed) {
+  mcs::support::Rng rng(seed * 613 + 29);
+  mcs::gen::GeneratorConfig cfg;
+  cfg.num_tasks = 4;
+  cfg.utilization = rng.uniform(0.3, 0.5);
+  cfg.gamma = rng.uniform(0.1, 0.4);
+  const mcs::rt::TaskSet tasks = mcs::gen::generate_task_set(cfg, rng);
+  const mcs::rt::TaskIndex i = tasks.by_priority().back();
+  const mcs::analysis::DelayMilp milp = mcs::analysis::build_delay_milp(
+      tasks, i, tasks[i].period / 2, mcs::analysis::FormulationCase::kNls,
+      /*ignore_ls=*/true);
+  std::vector<int> priority(milp.model.num_variables(), 0);
+  for (const VarId alpha : milp.alpha_vars) priority[alpha.index] = 1;
+  return {milp.model, priority};
+}
+
+void expect_same_search(const MilpResult& a, const MilpResult& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.status, b.status) << label;
+  EXPECT_EQ(a.has_incumbent, b.has_incumbent) << label;
+  EXPECT_EQ(a.objective, b.objective) << label;
+  EXPECT_EQ(a.best_bound, b.best_bound) << label;
+  EXPECT_EQ(a.values, b.values) << label;
+  EXPECT_EQ(a.nodes, b.nodes) << label;
+  EXPECT_EQ(a.nodes_pruned, b.nodes_pruned) << label;
+  EXPECT_EQ(a.lp_iterations, b.lp_iterations) << label;
+  EXPECT_EQ(a.gap_terminated, b.gap_terminated) << label;
+}
+
+/// Pauses `model`'s search at every loop top k in turn (and, once, at all
+/// of them), finishes it, and compares with the uninterrupted search.
+void expect_resumable(const Model& model, const MilpOptions& opt,
+                      const std::string& label) {
+  std::size_t tops = 0;
+  MilpSearch whole(model, opt);
+  ASSERT_TRUE(whole.run([&tops](const SearchBounds&) {
+    ++tops;
+    return false;
+  }));
+  const MilpResult& want = whole.result();
+  expect_same_search(mcs::lp::solve_milp(model, opt), want, label + " plain");
+
+  for (std::size_t k = 0; k < tops; ++k) {
+    std::size_t seen = 0;
+    MilpSearch search(model, opt);
+    EXPECT_FALSE(search.run([&seen, k](const SearchBounds&) {
+      return seen++ == k;
+    })) << label << " k=" << k;
+    EXPECT_FALSE(search.finished());
+    ASSERT_TRUE(search.run());
+    expect_same_search(search.result(), want,
+                       label + " paused at " + std::to_string(k));
+  }
+
+  // Pause at every loop top once: a resumed search passes the top it
+  // paused at and stops at the next one.
+  MilpSearch stepped(model, opt);
+  std::size_t pauses = 0;
+  bool fire = false;
+  while (!stepped.run([&fire](const SearchBounds&) { return fire = !fire; })) {
+    ++pauses;
+  }
+  EXPECT_EQ(pauses, tops) << label;
+  expect_same_search(stepped.result(), want, label + " paused everywhere");
+}
+
+TEST(MilpSearch, PausedAndFinishedEqualsUninterrupted) {
+  struct Case {
+    std::string name;
+    Model model;
+    std::vector<int> priority;
+  };
+  std::vector<Case> corpus;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    corpus.push_back({"integer program " + std::to_string(seed),
+                      random_integer_program(seed), {}});
+  }
+  corpus.push_back({"knapsack 99", random_knapsack(99, 12, 12.0), {}});
+  corpus.push_back({"knapsack 7", random_knapsack(7, 10, 10.0), {}});
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    auto [model, priority] = delay_milp(seed);
+    corpus.push_back({"delay MILP " + std::to_string(seed), std::move(model),
+                      std::move(priority)});
+  }
+
+  for (const SimplexKernel kernel :
+       {SimplexKernel::kSparse, SimplexKernel::kDense}) {
+    for (const Case& c : corpus) {
+      // Gap 0 proves optimality; a 2% gap exercises the within-gap drops
+      // and the gap return (with and without presolve); 20 nodes end some
+      // searches at the node limit.
+      struct Variant {
+        double gap;
+        std::size_t nodes;
+        bool presolve;
+      };
+      for (const Variant v : {Variant{0.0, 200000, true},
+                              Variant{0.02, 200000, true},
+                              Variant{0.02, 200000, false},
+                              Variant{0.0, 20, true}}) {
+        MilpOptions opt;
+        opt.lp.kernel = kernel;
+        opt.relative_gap = v.gap;
+        opt.max_nodes = v.nodes;
+        opt.use_presolve = v.presolve;
+        opt.branch_priority = c.priority;
+        const std::string label =
+            c.name + (kernel == SimplexKernel::kDense ? " dense" : " sparse") +
+            " gap=" + std::to_string(v.gap) +
+            " nodes=" + std::to_string(v.nodes) +
+            (v.presolve ? " presolve" : "");
+        expect_resumable(c.model, opt, label);
+      }
+    }
+  }
+}
+
+TEST(MilpSearch, PausedSearchOutlivesItsModel) {
+  // A paused search keeps what it needs: the caller's model can go away
+  // before the search is finished.
+  MilpOptions opt;
+  const MilpResult want = mcs::lp::solve_milp(random_knapsack(99, 12, 12.0),
+                                              opt);
+  std::size_t seen = 0;
+  auto model = std::make_unique<Model>(random_knapsack(99, 12, 12.0));
+  MilpSearch search(*model, opt);
+  ASSERT_FALSE(search.run([&seen](const SearchBounds&) { return ++seen == 3; }));
+  model.reset();
+  ASSERT_TRUE(search.run());
+  expect_same_search(search.result(), want, "model dropped while paused");
+}
 
 }  // namespace

@@ -27,12 +27,17 @@ mcs-bench-solver-v1 (written by `mcs_bench ablation_solver`)
   presolve speedup IS a timing gate, but on a same-run, same-machine
   ratio, which is far more stable than any absolute time.
 
-mcs-bench-analysis-v2 (written by `mcs_bench analysis`)
+mcs-bench-analysis-v3 (written by `mcs_bench analysis`)
   Compared against the committed BENCH_analysis.json baseline; fails when
     * any verdict count (NPS-schedulable, WP-failing, rescued by greedy,
       greedy rounds) differs from the baseline's, or
     * the B&B node or simplex pivot count grew by more than the allowed
-      factor over the baseline's.
+      factor over the baseline's, or
+    * the decision-mode pass (AnalysisEngine::decide on the same sets)
+      reached a different WP-failing or rescued-by-greedy count than the
+      exact pass of the same run, or explored more than
+      MAX_DECISION_NODE_SHARE of the exact pass's B&B nodes, or its node or
+      pivot count grew by more than the allowed factor over the baseline's.
   Every MILP there is solved to proven optimality, so all of these counts
   are deterministic; the engine's cross-round reuse shows up in the work
   counts.  The wall time is reported, not gated, for the same reason as
@@ -72,6 +77,13 @@ MIN_PRESOLVE_SPEEDUP = 0.9
 # baseline shows >= 1.7x; the CI floor absorbs same-run ratio noise.
 MIN_SPARSE_KERNEL_SPEEDUP = 1.5
 
+# The decision-mode pass may explore at most this share of the exact pass's
+# B&B nodes on the same task sets (both counted by milp.nodes_explored in
+# one run).  The committed baseline reads 0.06 (445 of 7786): the decision
+# pass's WP verdict stops at the first miss, and its searches stop once a
+# round's outcome is fixed.
+MAX_DECISION_NODE_SHARE = 0.8
+
 # Relative tolerance for the prove-pair bound identity: both kernels prove
 # optimality, so their mean bounds may differ only by accumulated
 # round-off, far below this.
@@ -79,7 +91,7 @@ KERNEL_BOUND_RTOL = 1e-9
 
 BASELINES = {
     "mcs-bench-solver-v1": "BENCH_solver.json",
-    "mcs-bench-analysis-v2": "BENCH_analysis.json",
+    "mcs-bench-analysis-v3": "BENCH_analysis.json",
 }
 
 
@@ -180,6 +192,33 @@ def check_analysis(fresh, baseline):
             failures.append(
                 f"{key} grew more than {MAX_PIVOT_GROWTH:.1f}x over the "
                 f"committed baseline ({got} > {MAX_PIVOT_GROWTH:.1f} * "
+                f"{base})")
+
+    decision = fresh["decision"]
+    for key in ("wp_failing", "greedy_rescued"):
+        exact = fresh["verdicts"][key]
+        print(f"decision {key}: {decision[key]} vs exact {exact}")
+        if decision[key] != exact:
+            failures.append(
+                f"decision mode's {key} {decision[key]} differs from exact "
+                f"mode's {exact}")
+    share = decision["bb_nodes"] / decision["exact_nodes_explored"]
+    print(f"decision nodes: {decision['bb_nodes']} of "
+          f"{decision['exact_nodes_explored']} explored in exact mode "
+          f"({share:.2f}, ceiling {MAX_DECISION_NODE_SHARE:.2f})")
+    if share > MAX_DECISION_NODE_SHARE:
+        failures.append(
+            f"decision mode explored {share:.2f} of exact mode's B&B nodes "
+            f"(ceiling {MAX_DECISION_NODE_SHARE:.2f})")
+    for key in ("bb_nodes", "simplex_pivots"):
+        got = decision[key]
+        base = baseline["decision"][key]
+        print(f"decision {key}: fresh {got} vs baseline {base} "
+              f"(x{got / base:.2f})")
+        if got > MAX_PIVOT_GROWTH * base:
+            failures.append(
+                f"decision {key} grew more than {MAX_PIVOT_GROWTH:.1f}x over "
+                f"the committed baseline ({got} > {MAX_PIVOT_GROWTH:.1f} * "
                 f"{base})")
     return failures
 
