@@ -56,24 +56,11 @@ constexpr double kRefactorPivotRel = 1e-9;
 constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
 struct SparseKernel final : SimplexSolver::Impl {
-  // Static data (built once from the model).
-  std::size_t rows_ = 0;
-  std::size_t structural_ = 0;
-  std::size_t cols_ = 0;             // structural + one slack per row
-  std::size_t total_cols_ = 0;       // cols_ + one artificial per row
-  std::size_t first_artificial_ = 0;
-
-  std::vector<ColumnMap> col_map_;
-  std::vector<std::vector<std::size_t>> var_cols_;
+  // Static data (built once from the model) on top of the skeleton's
+  // column space.
   SparseMatrix mat_;                 // rows_ x cols_, oriented (coef * sign)
-  std::vector<double> base_rhs_;
-  std::vector<double> slack_coef_;   // +1 (<=), -1 (>=), 0 (=)
-  std::vector<double> cost_;
-  std::vector<double> phase1_cost_;
-  double cost_scale_ = 1.0;
 
-  // Bound state (shadows the model; mutated by set_bounds).
-  std::vector<double> upper_;        // per internal column
+  // Bound state: the unpivoted rhs under the current offsets.
   std::vector<double> eff_rhs_;      // base_rhs - A * offsets, unpivoted
 
   // Factorization state.
@@ -83,9 +70,6 @@ struct SparseKernel final : SimplexSolver::Impl {
   std::size_t factor_etas_ = 0;      // eta count right after refactorize
   std::size_t factor_entries_ = 0;   // eta entries right after refactorize
   std::vector<double> art_sign_;     // per row, set at cold reset
-  std::vector<std::size_t> basis_;
-  std::vector<VarStatus> status_;
-  std::vector<double> xb_;
   std::vector<double> dj_;
   /// dj_ is maintained incrementally across pivots; this says it still
   /// matches (basis_, cost_) so a same-basis warm attempt can skip the
@@ -95,9 +79,7 @@ struct SparseKernel final : SimplexSolver::Impl {
   std::vector<double> devex_w_;
   double devex_max_ = 1.0;
   std::size_t pricing_cursor_ = 0;
-  double rhs_scale_ = 1.0;
-  const std::vector<double>* active_cost_ = nullptr;
-  // Primal pricing state, set up by start_pricing() for one p_iterate call
+  // Primal pricing state, set up by start_pricing() for one primal phase
   // (upper_ does not change within it).  live_cols_ lists the columns with
   // upper_ > 0 ascending, live_pos_ maps a column to its index there.
   // attract_ holds every live nonbasic column whose reduced cost violates
@@ -138,7 +120,6 @@ struct SparseKernel final : SimplexSolver::Impl {
 
   void build_static();
   void recompute_eff_rhs();
-  void reset_cold();
   bool refactorize();
   bool maybe_refactor(bool force);
   void compute_xb();
@@ -147,7 +128,6 @@ struct SparseKernel final : SimplexSolver::Impl {
   void refresh_attract();
   void update_attract(std::size_t j);
   void scatter_internal_column(std::size_t c, std::vector<double>& out) const;
-  double current_internal_objective() const;
   bool primal_feasible() const;
   std::size_t choose_entering(bool bland);
   void fill_alpha_row();             // from rho_, into alpha_row_
@@ -160,88 +140,42 @@ struct SparseKernel final : SimplexSolver::Impl {
                     const std::vector<double>& alpha, double entering_value,
                     VarStatus leaving_status, bool have_alpha_row,
                     bool use_devex);
-  SolveStatus p_iterate(bool phase_one, std::size_t& iterations);
   std::size_t choose_leaving_row(double& row_tol, bool& below) const;
   std::size_t dual_ratio_test(std::size_t row, bool below, double row_tol,
                               bool bland);
-  SolveStatus dual_reoptimize(std::size_t& iterations);
-  bool drive_out_artificials();
-  void freeze_artificials();
-  LpSolution extract_solution(SolveStatus status,
-                              std::size_t iterations) const;
-  LpSolution run_cold_once();
   LpSolution dense_fallback_cold();
-  bool same_basis(const Basis& b) const;
-  void adopt_statuses(const Basis& b);
-  bool load_snapshot(const Basis& b);
-  bool certify(const std::vector<double>& values) const;
-  bool certify_dual();
 
-  // SimplexSolver::Impl interface.
-  std::unique_ptr<Impl> clone() const override { return clone_kernel(*this); }
-  void set_bounds(std::size_t var, double lower, double upper) override;
+  // SimplexSolver::Impl hooks.
+  std::unique_ptr<Impl> copy() const override {
+    return std::make_unique<SparseKernel>(*this);
+  }
   bool valid() const override { return factor_valid_; }
-  std::size_t num_rows() const override { return rows_; }
+  void shift_offset(std::size_t col, double delta) override;
   LpSolution run_cold() override;
-  bool warm_attempt(const Basis* parent, LpSolution& sol) override;
-  Basis snapshot() const override;
+  void reset_cold() override;
+  void price_phase() override { compute_dj(); }
+  SolveStatus primal_phase(bool phase_one, std::size_t& iterations) override;
+  SolveStatus dual_phase(std::size_t& iterations) override;
+  SolveStatus recheck_phase1(std::size_t& iterations) override;
+  bool drive_out_artificials() override;
+  bool load_basis(const Basis& b) override;
+  bool refresh_warm() override;
+  bool certify_dual() override;
 };
 
 void SparseKernel::build_static() {
-  ColumnLayout layout = build_column_layout(model_);
-  col_map_ = std::move(layout.col_map);
-  var_cols_ = std::move(layout.var_cols);
-  upper_ = std::move(layout.upper);
-  structural_ = col_map_.size();
-  rows_ = model_.num_constraints();
-  cols_ = structural_ + rows_;
-  first_artificial_ = cols_;
-  total_cols_ = cols_ + rows_;
-
   SparseMatrix::Builder builder(rows_, cols_);
-  base_rhs_.assign(rows_, 0.0);
-  slack_coef_.assign(rows_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
-    const Constraint& c = model_.constraints()[r];
-    for (const auto& [var, coef] : c.lhs.terms()) {
+    for (const auto& [var, coef] : model_.constraints()[r].lhs.terms()) {
       for (const std::size_t col : var_cols_[var]) {
         builder.add(r, col, coef * col_map_[col].sign);
       }
     }
-    base_rhs_[r] = c.rhs;
-    switch (c.relation) {
-      case Relation::kLe:
-        builder.add(r, structural_ + r, 1.0);
-        slack_coef_[r] = 1.0;
-        break;
-      case Relation::kGe:
-        builder.add(r, structural_ + r, -1.0);
-        slack_coef_[r] = -1.0;
-        break;
-      case Relation::kEq:
-        slack_coef_[r] = 0.0;
-        break;
+    if (slack_coef_[r] != 0.0) {
+      builder.add(r, structural_ + r, slack_coef_[r]);
     }
   }
   mat_ = std::move(builder).build();
-
-  upper_.resize(total_cols_, kInfinity);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    upper_[structural_ + r] = slack_coef_[r] == 0.0 ? 0.0 : kInfinity;
-    upper_[first_artificial_ + r] = 0.0;  // reset_cold opens what it needs
-  }
-
-  cost_scale_ = model_.objective_sense() == Sense::kMinimize ? 1.0 : -1.0;
-  cost_.assign(total_cols_, 0.0);
-  for (const auto& [var, coef] : model_.objective().terms()) {
-    for (const std::size_t col : var_cols_[var]) {
-      cost_[col] += cost_scale_ * coef * col_map_[col].sign;
-    }
-  }
-  phase1_cost_.assign(total_cols_, 0.0);
-  for (std::size_t c = first_artificial_; c < total_cols_; ++c) {
-    phase1_cost_[c] = 1.0;
-  }
 
   art_sign_.assign(rows_, 1.0);
   recompute_eff_rhs();
@@ -306,10 +240,6 @@ void SparseKernel::reset_cold() {
   MCS_ASSERT(ok, "cold reset: unit basis refactorization cannot fail");
   static_cast<void>(ok);
   compute_xb();
-  rhs_scale_ = 1.0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    rhs_scale_ = std::max(rhs_scale_, 1.0 + std::abs(xb_[r]));
-  }
   pricing_cursor_ = 0;
 }
 
@@ -460,7 +390,7 @@ void SparseKernel::compute_xb() {
 }
 
 void SparseKernel::compute_dj() {
-  const std::vector<double>& c = *active_cost_;
+  const std::vector<double>& c = active_cost();
   y_.assign(rows_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
     y_[r] = c[basis_[r]];
@@ -474,7 +404,7 @@ void SparseKernel::compute_dj() {
     const std::size_t j = first_artificial_ + r;
     dj_[j] = c[j] - y_[r] * art_sign_[r];
   }
-  dj_valid_ = active_cost_ == &cost_;
+  dj_valid_ = !phase_one_;
 }
 
 /// One pass over all columns at the start of a primal phase: reset the
@@ -527,20 +457,6 @@ void SparseKernel::update_attract(std::size_t j) {
     attract_.pop_back();
     attract_slot_[j] = kNoSlot;
   }
-}
-
-double SparseKernel::current_internal_objective() const {
-  const std::vector<double>& c = *active_cost_;
-  double obj = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    obj += c[basis_[r]] * xb_[r];
-  }
-  for (std::size_t j = 0; j < total_cols_; ++j) {
-    if (status_[j] == VarStatus::kAtUpper) {
-      obj += c[j] * upper_[j];
-    }
-  }
-  return obj;
 }
 
 bool SparseKernel::primal_feasible() const {
@@ -701,7 +617,8 @@ bool SparseKernel::pivot_update(std::size_t p, std::size_t q,
   return true;
 }
 
-SolveStatus SparseKernel::p_iterate(bool phase_one, std::size_t& iterations) {
+SolveStatus SparseKernel::primal_phase(bool phase_one,
+                                       std::size_t& iterations) {
   start_pricing();
   std::size_t stall_retries = 0;
   for (;;) {
@@ -952,10 +869,10 @@ std::size_t SparseKernel::dual_ratio_test(std::size_t row, bool below,
 }
 
 /// Dual simplex with a bound-flipping (long-step) ratio test.  Same entry
-/// contract as the dense kernel's dual_reoptimize: requires fresh xb_/dj_,
+/// contract as the dense kernel's dual_phase: requires fresh xb_/dj_,
 /// returns kOptimal on primal feasibility, kInfeasible on an (uncertified)
 /// infeasibility signal, kIterationLimit when the caller should go cold.
-SolveStatus SparseKernel::dual_reoptimize(std::size_t& iterations) {
+SolveStatus SparseKernel::dual_phase(std::size_t& iterations) {
   // Fixed columns never enter: the ratio test skips upper_[j] == 0.
   stats_.fixed_cols_skipped += static_cast<std::size_t>(std::count_if(
       upper_.begin(), upper_.end(), [](double u) { return !(u > 0.0); }));
@@ -1046,97 +963,20 @@ bool SparseKernel::drive_out_artificials() {
     pivot_update(r, replacement, work_, entering_value, VarStatus::kAtLower,
                  /*have_alpha_row=*/true, /*use_devex=*/false);
   }
-  freeze_artificials();
   return true;
 }
 
-void SparseKernel::freeze_artificials() {
-  for (std::size_t c = first_artificial_; c < total_cols_; ++c) {
-    if (status_[c] != VarStatus::kBasic) {
-      status_[c] = VarStatus::kAtLower;
-    }
-    upper_[c] = 0.0;
+/// Refactor-confirm before declaring infeasibility: eta round-off can leave
+/// phantom artificial residue that a fresh factorization (and a few more
+/// pivots) clears.
+SolveStatus SparseKernel::recheck_phase1(std::size_t& iterations) {
+  maybe_refactor(true);
+  if (!factor_valid_) {
+    return SolveStatus::kIterationLimit;
   }
-}
-
-LpSolution SparseKernel::extract_solution(SolveStatus status,
-                                          std::size_t iterations) const {
-  LpSolution sol;
-  sol.status = status;
-  sol.iterations = iterations;
-  if (status != SolveStatus::kOptimal) {
-    return sol;
-  }
-  std::vector<double> internal(total_cols_, 0.0);
-  for (std::size_t c = 0; c < total_cols_; ++c) {
-    if (status_[c] == VarStatus::kAtUpper) {
-      internal[c] = upper_[c];
-    }
-  }
-  for (std::size_t r = 0; r < rows_; ++r) {
-    internal[basis_[r]] = xb_[r];
-  }
-  sol.values.assign(model_.num_variables(), 0.0);
-  for (std::size_t c = 0; c < col_map_.size(); ++c) {
-    const ColumnMap& cm = col_map_[c];
-    if (cm.sign > 0.0) {
-      sol.values[cm.model_var] += cm.offset + internal[c];
-    } else {
-      sol.values[cm.model_var] += cm.offset - internal[c];
-    }
-  }
-  sol.objective = model_.evaluate(model_.objective(), sol.values);
-  return sol;
-}
-
-LpSolution SparseKernel::run_cold_once() {
-  reset_cold();
-  std::size_t iterations = 0;
-
-  bool need_phase1 = false;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    if (basis_[r] >= first_artificial_ && xb_[r] > opt_.feasibility_tol) {
-      need_phase1 = true;
-      break;
-    }
-  }
-  if (need_phase1) {
-    active_cost_ = &phase1_cost_;
-    compute_dj();
-    SolveStatus p1 = p_iterate(/*phase_one=*/true, iterations);
-    if (p1 == SolveStatus::kIterationLimit) {
-      return extract_solution(SolveStatus::kIterationLimit, iterations);
-    }
-    const double gate = opt_.feasibility_tol * 10.0 *
-                        std::min(rhs_scale_, kPhase1ScaleCap);
-    if (current_internal_objective() > gate) {
-      // Refactor-confirm before declaring infeasibility: eta round-off can
-      // leave phantom artificial residue that a fresh factorization (and a
-      // few more pivots) clears.
-      maybe_refactor(true);
-      if (!factor_valid_) {
-        return extract_solution(SolveStatus::kIterationLimit, iterations);
-      }
-      compute_dj();
-      compute_xb();
-      p1 = p_iterate(/*phase_one=*/true, iterations);
-      if (p1 == SolveStatus::kIterationLimit) {
-        return extract_solution(SolveStatus::kIterationLimit, iterations);
-      }
-      if (current_internal_objective() > gate) {
-        freeze_artificials();
-        return extract_solution(SolveStatus::kInfeasible, iterations);
-      }
-    }
-  }
-  if (!drive_out_artificials()) {
-    return extract_solution(SolveStatus::kInfeasible, iterations);
-  }
-
-  active_cost_ = &cost_;
   compute_dj();
-  const SolveStatus p2 = p_iterate(/*phase_one=*/false, iterations);
-  return extract_solution(p2, iterations);
+  compute_xb();
+  return primal_phase(/*phase_one=*/true, iterations);
 }
 
 /// Authoritative escape hatch for cold solves the eta file cannot certify:
@@ -1163,7 +1003,7 @@ LpSolution SparseKernel::dense_fallback_cold() {
 }
 
 LpSolution SparseKernel::run_cold() {
-  LpSolution sol = run_cold_once();
+  LpSolution sol = cold_phases();
   if (sol.status == SolveStatus::kOptimal) {
     if (certify(sol.values) && certify_dual()) {
       return sol;
@@ -1174,16 +1014,8 @@ LpSolution SparseKernel::run_cold() {
       compute_dj();
       compute_xb();
       std::size_t iterations = sol.iterations;
-      const SolveStatus d = dual_reoptimize(iterations);
-      SolveStatus final_status = d;
-      if (d == SolveStatus::kOptimal) {
-        final_status = p_iterate(/*phase_one=*/false, iterations);
-      }
-      if (final_status == SolveStatus::kOptimal) {
-        sol = extract_solution(final_status, iterations);
-        if (certify(sol.values) && certify_dual()) {
-          return sol;
-        }
+      if (reoptimize(iterations, sol)) {
+        return sol;
       }
     }
     return dense_fallback_cold();
@@ -1194,33 +1026,11 @@ LpSolution SparseKernel::run_cold() {
   return sol;  // kInfeasible / kUnbounded: gate-confirmed, parity with dense
 }
 
-bool SparseKernel::same_basis(const Basis& b) const {
-  if (b.basic.size() != rows_ || b.status.size() != total_cols_) {
-    return false;
-  }
-  for (std::size_t r = 0; r < rows_; ++r) {
-    if (basis_[r] != b.basic[r]) return false;
-  }
-  return true;
-}
-
-void SparseKernel::adopt_statuses(const Basis& b) {
-  for (std::size_t c = 0; c < total_cols_; ++c) {
-    if (status_[c] == VarStatus::kBasic) continue;
-    VarStatus s = static_cast<VarStatus>(b.status[c]);
-    if (s == VarStatus::kBasic) s = VarStatus::kAtLower;
-    if (s == VarStatus::kAtUpper && !std::isfinite(upper_[c])) {
-      s = VarStatus::kAtLower;
-    }
-    status_[c] = s;
-  }
-}
-
 /// Loads a parent basis snapshot: adopt its basis header wholesale and
 /// refactorize — the rebuild places every column it can and repairs the
 /// rest with artificials, which is exactly the dense kernel's best-effort
 /// crash semantics.  Returns false when the snapshot is unusable.
-bool SparseKernel::load_snapshot(const Basis& b) {
+bool SparseKernel::load_basis(const Basis& b) {
   if (b.basic.size() != rows_ || b.status.size() != total_cols_) {
     return false;
   }
@@ -1237,51 +1047,15 @@ bool SparseKernel::load_snapshot(const Basis& b) {
     }
     status_[c] = s;
   }
-  if (!refactorize()) {
-    return false;
-  }
-  freeze_artificials();
-  return true;
-}
-
-bool SparseKernel::certify(const std::vector<double>& values) const {
-  const double ftol = 100.0 * opt_.feasibility_tol;
-  for (std::size_t c = 0; c < structural_; ++c) {
-    const ColumnMap& cm = col_map_[c];
-    if (cm.sign < 0.0 || var_cols_[cm.model_var].size() != 1) {
-      continue;  // split / upper-shifted columns have static bounds
-    }
-    const double v = values[cm.model_var];
-    const double tol = ftol * (1.0 + std::abs(v));
-    if (v < cm.offset - tol) return false;
-    if (std::isfinite(upper_[c]) && v > cm.offset + upper_[c] + tol) {
-      return false;
-    }
-  }
-  for (const Constraint& con : model_.constraints()) {
-    const double lhs = model_.evaluate(con.lhs, values);
-    const double tol = ftol * (1.0 + std::abs(con.rhs) + std::abs(lhs));
-    switch (con.relation) {
-      case Relation::kLe:
-        if (lhs > con.rhs + tol) return false;
-        break;
-      case Relation::kGe:
-        if (lhs < con.rhs - tol) return false;
-        break;
-      case Relation::kEq:
-        if (std::abs(lhs - con.rhs) > tol) return false;
-        break;
-    }
-  }
-  return true;
+  return refactorize();
 }
 
 /// Dual certificate against the pristine CSC matrix: y = BTRAN(c_B), then
-/// every live column must price dual-feasibly for its status.  Same
-/// contract and tolerances as the dense kernel's certify_dual (which reads
-/// y from its tableau's artificial block instead).
+/// every column must price dual-feasibly for its status.  Same contract
+/// and tolerances as the dense kernel's certify_dual (which reads y from
+/// its tableau's artificial block instead).
 bool SparseKernel::certify_dual() {
-  const double dtol = 100.0 * opt_.feasibility_tol;
+  const double dtol = certify_tol();
   y_.assign(rows_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
     y_[r] = cost_[basis_[r]];
@@ -1293,64 +1067,20 @@ bool SparseKernel::certify_dual() {
       return false;  // basic artificial carrying weight
     }
   }
-  for (std::size_t j = 0; j < cols_; ++j) {
-    if (status_[j] != VarStatus::kBasic && upper_[j] <= 0.0) {
-      continue;  // fixed column: any sign is dual feasible
-    }
-    const double dj = cost_[j] - mat_.dot_column(j, y_.data());
-    const double mag =
-        std::abs(cost_[j]) + mat_.abs_dot_column(j, y_.data());
-    const double tol = dtol * (1.0 + mag);
-    switch (status_[j]) {
-      case VarStatus::kBasic:
-        if (std::abs(dj) > tol) return false;
-        break;
-      case VarStatus::kAtLower:
-        if (dj < -tol) return false;
-        break;
-      case VarStatus::kAtUpper:
-        if (dj > tol) return false;
-        break;
-    }
-  }
-  return true;
+  return columns_dual_feasible([&](std::size_t j) {
+    return std::pair{cost_[j] - mat_.dot_column(j, y_.data()),
+                     std::abs(cost_[j]) + mat_.abs_dot_column(j, y_.data())};
+  });
 }
 
-void SparseKernel::set_bounds(std::size_t var, double lower, double upper) {
-  MCS_REQUIRE(var < var_cols_.size(), "set_bounds: unknown variable");
-  MCS_REQUIRE(std::isfinite(lower) && lower <= upper,
-              "set_bounds: lower must be finite and <= upper");
-  MCS_REQUIRE(var_cols_[var].size() == 1 &&
-                  col_map_[var_cols_[var].front()].sign > 0.0,
-              "set_bounds: variable must have a finite lower bound in the "
-              "model (single shifted column)");
-  const std::size_t c = var_cols_[var].front();
-  ColumnMap& cm = col_map_[c];
-  const double d_off = lower - cm.offset;
-  cm.offset = lower;
-  upper_[c] = std::isfinite(upper) ? upper - lower : kInfinity;
-  if (!status_.empty() && status_[c] == VarStatus::kAtUpper &&
-      !std::isfinite(upper_[c])) {
-    status_[c] = VarStatus::kAtLower;
-  }
-  if (d_off != 0.0) {
-    // O(column nnz) patch of the unpivoted effective rhs; xb is recomputed
-    // wholesale (one FTRAN) at the next warm attempt, so unlike the dense
-    // kernel nothing pivoted needs touching here.
-    mat_.axpy_column(c, -d_off, eff_rhs_.data());
-  }
+/// O(column nnz) patch of the unpivoted effective rhs; xb is recomputed
+/// wholesale (one FTRAN) at the next warm attempt, so unlike the dense
+/// kernel nothing pivoted needs touching here.
+void SparseKernel::shift_offset(std::size_t col, double delta) {
+  mat_.axpy_column(col, -delta, eff_rhs_.data());
 }
 
-bool SparseKernel::warm_attempt(const Basis* parent, LpSolution& sol) {
-  sol.iterations = 0;
-  if (parent != nullptr && !parent->empty()) {
-    if (same_basis(*parent)) {
-      adopt_statuses(*parent);
-    } else if (!load_snapshot(*parent)) {
-      return false;
-    }
-  }
-  active_cost_ = &cost_;
+bool SparseKernel::refresh_warm() {
   maybe_refactor(false);
   if (!factor_valid_) return false;
   // Bound patches never touch reduced costs, so a same-basis warm restart
@@ -1358,38 +1088,7 @@ bool SparseKernel::warm_attempt(const Basis* parent, LpSolution& sol) {
   // must be rebuilt from the patched rhs.
   if (!dj_valid_) compute_dj();
   compute_xb();
-
-  const std::size_t saved_max = opt_.max_iterations;
-  opt_.max_iterations = std::min(saved_max, warm_budget());
-  std::size_t iterations = 0;
-  const SolveStatus dual = dual_reoptimize(iterations);
-  SolveStatus final_status = dual;
-  if (dual == SolveStatus::kOptimal) {
-    final_status = p_iterate(/*phase_one=*/false, iterations);
-  }
-  opt_.max_iterations = saved_max;
-  sol.iterations = iterations;
-  if (final_status == SolveStatus::kOptimal) {
-    sol = extract_solution(final_status, iterations);
-    if (certify(sol.values) && certify_dual()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-Basis SparseKernel::snapshot() const {
-  Basis b;
-  if (!factor_valid_) return b;
-  b.status.resize(total_cols_);
-  for (std::size_t c = 0; c < total_cols_; ++c) {
-    b.status[c] = static_cast<std::uint8_t>(status_[c]);
-  }
-  b.basic.resize(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    b.basic[r] = static_cast<std::uint32_t>(basis_[r]);
-  }
-  return b;
+  return true;
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "lp/model.hpp"
+#include "support/contracts.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -15,9 +16,13 @@ using mcs::lp::LpSolution;
 using mcs::lp::Model;
 using mcs::lp::Relation;
 using mcs::lp::Sense;
+using mcs::lp::SimplexKernel;
+using mcs::lp::SimplexOptions;
+using mcs::lp::SimplexSolver;
 using mcs::lp::solve_lp;
 using mcs::lp::SolveStatus;
 using mcs::lp::VarId;
+using mcs::support::ContractViolation;
 
 constexpr double kTol = 1e-6;
 
@@ -243,6 +248,56 @@ TEST(Simplex, SolutionSatisfiesModel) {
   const LpSolution sol = solve_lp(m);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_TRUE(m.is_feasible(sol.values, 1e-6));
+}
+
+TEST(Simplex, SetBoundsContractHoldsOnBothKernels) {
+  // max x + y - f + u  s.t. x + y <= 6, f >= -1;  x in [0, 4], y in [1, 5],
+  // f free (two split columns), u <= 3 (one upper-shifted column)
+  //   ->  z = 6 + 1 + 3 = 10.
+  Model m;
+  const VarId x = m.add_continuous(0, 4, "x");
+  const VarId y = m.add_continuous(1, 5, "y");
+  const VarId f = m.add_continuous(-kInfinity, kInfinity, "f");
+  const VarId u = m.add_continuous(-kInfinity, 3, "u");
+  m.add_constraint(LinExpr(x) + LinExpr(y), Relation::kLe, 6.0);
+  m.add_constraint(LinExpr(f), Relation::kGe, -1.0);
+  m.set_objective(Sense::kMaximize,
+                  LinExpr(x) + LinExpr(y) - LinExpr(f) + LinExpr(u));
+  for (const SimplexKernel kernel :
+       {SimplexKernel::kSparse, SimplexKernel::kDense}) {
+    SCOPED_TRACE(kernel == SimplexKernel::kSparse ? "sparse" : "dense");
+    SimplexOptions opt;
+    opt.kernel = kernel;
+    SimplexSolver solver(m, opt);
+    const auto expect_rejected = [&] {
+      EXPECT_THROW(solver.set_bounds(VarId{4}, 0.0, 1.0), ContractViolation)
+          << "unknown variable";
+      EXPECT_THROW(solver.set_bounds(x, 3.0, 2.0), ContractViolation)
+          << "lower > upper";
+      EXPECT_THROW(solver.set_bounds(x, -kInfinity, 2.0), ContractViolation)
+          << "infinite lower bound";
+      EXPECT_THROW(solver.set_bounds(f, 0.0, 1.0), ContractViolation)
+          << "free (split) variable";
+      EXPECT_THROW(solver.set_bounds(u, 0.0, 1.0), ContractViolation)
+          << "upper-shifted variable";
+    };
+    expect_rejected();  // before the first solve
+    LpSolution sol = solver.solve();
+    ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(sol.objective, 10.0, kTol);
+    expect_rejected();  // with a basis to warm-start from
+    sol = solver.solve_warm();
+    ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(sol.objective, 10.0, kTol);
+    // The rejected calls left the bounds alone; a legal one still applies.
+    solver.set_bounds(x, 0.0, 0.5);
+    sol = solver.solve_warm();
+    ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(sol.objective, 9.5, kTol);
+    sol = solver.solve();
+    ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(sol.objective, 9.5, kTol);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -275,6 +275,42 @@ void expect_clone_repeats_original(const Model& model,
   EXPECT_EQ(counters(clone->stats()), delta) << label;
 }
 
+/// Runs `chain` on a `from`-kernel solver and tracks its bounds on a solved
+/// `to`-kernel solver; after every optimal step the `to` solver warm-starts
+/// from the `from` solver's basis snapshot.  Both kernels index one column
+/// space, so the snapshot is an optimal basis for the `to` solver as well:
+/// it must reach the same certified optimum, and when `stays_warm` without
+/// falling back to a cold solve.
+void expect_snapshot_crosses_kernels(const Model& model,
+                                     const std::vector<BoundStep>& chain,
+                                     SimplexKernel from, SimplexKernel to,
+                                     bool stays_warm,
+                                     const std::string& label) {
+  SimplexOptions from_opt;
+  from_opt.kernel = from;
+  SimplexOptions to_opt;
+  to_opt.kernel = to;
+  SimplexSolver source(model, from_opt);
+  SimplexSolver target(model, to_opt);
+  target.solve();  // a warm start needs a solved target
+  Basis parent;
+  for (std::size_t k = 0; k < chain.size(); ++k) {
+    const std::string at = label + " step " + std::to_string(k);
+    const LpSolution want = take_step(source, chain[k], parent);
+    target.set_bounds(VarId{chain[k].var}, chain[k].lo, chain[k].hi);
+    if (want.status != SolveStatus::kOptimal) continue;
+    const Basis snapshot = source.basis();
+    const std::size_t fallbacks = target.stats().warm_fallbacks;
+    const LpSolution got = target.solve_warm(&snapshot);
+    ASSERT_EQ(got.status, SolveStatus::kOptimal) << at;
+    if (stays_warm) {
+      EXPECT_EQ(target.stats().warm_fallbacks, fallbacks) << at;
+    }
+    const double scale = std::max(1.0, std::abs(want.objective));
+    EXPECT_NEAR(got.objective, want.objective, 1e-9 * scale) << at;
+  }
+}
+
 class WarmVsCold : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(WarmVsCold, RandomBoundedLpBoundChangeChains) {
@@ -317,6 +353,33 @@ TEST_P(WarmVsCold, CloneRepeatsTheOriginalBitForBit) {
                                     k + " fixing" + when);
     }
   }
+}
+
+TEST_P(WarmVsCold, BasisSnapshotCrossesKernels) {
+  Rng rng(GetParam() * 71 + 29);
+  const Model lp = random_bounded_lp(rng, 3 + GetParam() % 6,
+                                     2 + GetParam() % 5);
+  std::vector<std::size_t> ints;
+  const Model root = random_delay_root(rng, ints);
+  ASSERT_FALSE(ints.empty());
+  const std::vector<BoundStep> tightening = tightening_chain(rng, lp, 25);
+  const std::vector<BoundStep> fixing = fixing_chain(rng, root, ints, 30);
+  expect_snapshot_crosses_kernels(lp, tightening, SimplexKernel::kSparse,
+                                  SimplexKernel::kDense, /*stays_warm=*/true,
+                                  "sparse -> dense tightening");
+  // The dense kernel crashes a foreign basis in row by row and skips rows
+  // whose pivot is below its relative floor; on the delay MILPs' tick-scale
+  // rows that often leaves a frozen artificial its dual phase cannot
+  // repair, so it falls back cold (and still must agree).
+  expect_snapshot_crosses_kernels(root, fixing, SimplexKernel::kSparse,
+                                  SimplexKernel::kDense, /*stays_warm=*/false,
+                                  "sparse -> dense fixing");
+  expect_snapshot_crosses_kernels(lp, tightening, SimplexKernel::kDense,
+                                  SimplexKernel::kSparse, /*stays_warm=*/true,
+                                  "dense -> sparse tightening");
+  expect_snapshot_crosses_kernels(root, fixing, SimplexKernel::kDense,
+                                  SimplexKernel::kSparse, /*stays_warm=*/true,
+                                  "dense -> sparse fixing");
 }
 
 TEST_P(WarmVsCold, BranchAndBoundSameOptimumWarmOnAndOff) {
