@@ -5,15 +5,17 @@ Dispatches on the JSON schema of the fresh bench result:
 
 mcs-bench-solver-v1 (written by `mcs_bench ablation_solver`)
   Compared against the committed BENCH_solver.json baseline; fails when
-  the warm-started solver has regressed:
+  the solver has regressed:
+    * any baseline strategy (the `+pre` presolve strategies and the
+      `[dense]` kernel twins included) is missing from the fresh run, or
+      its B&B node or simplex pivot count grew by more than the allowed
+      factor over the baseline's, or
     * total simplex pivots of the warm strategies grew by more than the
       allowed factor over the baseline run, or
     * the warm-vs-cold pivot reduction measured in the fresh run fell
       below the required floor (warm restarts must at least halve the
       pivot count), or
-    * the presolve axis regressed: the same-run wall-time speedup of
-      "plain, 2%gap, warm+pre" over "plain, 2%gap, warm" fell below the
-      floor, or presolve stopped removing anything at all, or
+    * presolve stopped removing anything at all, or
     * the kernel axis regressed: the same-run wall-time speedup of the
       sparse revised-simplex kernel over the dense tableau reference on
       "plain, 2%gap, warm" fell below the floor, or the two kernels
@@ -23,9 +25,12 @@ mcs-bench-solver-v1 (written by `mcs_bench ablation_solver`)
       identity).
   Cross-run wall-clock numbers are recorded in the JSON for human
   inspection but deliberately NOT gated on: CI machines are too noisy for
-  stable timing thresholds, whereas pivot counts are deterministic.  The
-  presolve speedup IS a timing gate, but on a same-run, same-machine
-  ratio, which is far more stable than any absolute time.
+  stable timing thresholds, whereas node and pivot counts are
+  deterministic.  The kernel speedup IS a timing gate, but on a same-run,
+  same-machine ratio about 1.5-2x whose floor sits below its noise.  The
+  presolve pair's same-run wall ratio is not gated: it sits at ~1.0x and
+  read anywhere from 0.7x to 1.3x on unchanged code, so presolve's value is
+  gated by its removal counts and its strategies' node and pivot counts.
 
 mcs-bench-analysis-v3 (written by `mcs_bench analysis`)
   Compared against the committed BENCH_analysis.json baseline; fails when
@@ -52,25 +57,13 @@ import pathlib
 import sys
 
 # A fresh run may spend at most this factor times the baseline's warm
-# pivots (solver bench) or B&B nodes and pivots (analysis bench) before CI
-# fails (catches e.g. a warm path that silently starts falling back to
-# cold solves everywhere).
+# pivots and per-strategy nodes and pivots (solver bench) or B&B nodes and
+# pivots (analysis bench) before CI fails (catches e.g. a warm path that
+# silently starts falling back to cold solves everywhere).
 MAX_PIVOT_GROWTH = 2.0
 
 # The fresh run's warm-vs-cold pivot reduction must stay above this.
 MIN_PIVOT_REDUCTION = 2.0
-
-# The fresh run's presolve-on vs presolve-off wall-time ratio on the
-# "plain, 2%gap, warm" strategy must stay above this.  Recalibrated with
-# the sparse revised-simplex kernel: the dense-era baseline showed 1.8x
-# because presolve's row/column removals saved expensive tableau pivots;
-# sparse pivots are cheap enough that the same removals now leave this
-# pair roughly wall-neutral (1.0-1.1x run to run; the alpha-priority
-# production pair still shows ~1.3x).  The floor is therefore a
-# regression backstop — presolve must never cost real wall time — while
-# its functional value stays gated deterministically by the removal
-# counts below.
-MIN_PRESOLVE_SPEEDUP = 0.9
 
 # The fresh run's sparse-vs-dense kernel wall-time ratio on the
 # "plain, 2%gap, warm" strategy must stay above this.  The committed
@@ -116,6 +109,21 @@ def check_solver(fresh, baseline):
           f"(floor {MIN_PIVOT_REDUCTION:.1f}x)")
 
     failures = []
+    fresh_by_name = {s["name"]: s for s in fresh["strategies"]}
+    for base in baseline["strategies"]:
+        got = fresh_by_name.get(base["name"])
+        if got is None:
+            failures.append(f"strategy {base['name']!r} missing from the "
+                            f"fresh run")
+            continue
+        for key in ("nodes", "pivots"):
+            print(f"{base['name']} {key}: fresh {got[key]} vs baseline "
+                  f"{base[key]} (x{got[key] / base[key]:.2f})")
+            if got[key] > MAX_PIVOT_GROWTH * base[key]:
+                failures.append(
+                    f"{base['name']} {key} grew more than "
+                    f"{MAX_PIVOT_GROWTH:.1f}x over the committed baseline "
+                    f"({got[key]} > {MAX_PIVOT_GROWTH:.1f} * {base[key]})")
     if fresh_warm > MAX_PIVOT_GROWTH * base_warm:
         failures.append(
             f"warm pivot count regressed more than {MAX_PIVOT_GROWTH:.1f}x "
@@ -126,17 +134,10 @@ def check_solver(fresh, baseline):
             f"warm-vs-cold pivot reduction {reduction:.2f}x fell below the "
             f"required {MIN_PIVOT_REDUCTION:.1f}x")
 
-    pre_speedup = fresh["summary"]["presolve_speedup"]
     pre_removed = (fresh["summary"]["presolve_rows_removed"]
                    + fresh["summary"]["presolve_cols_removed"])
-    print(f"presolve speedup (same-run wall ratio): {pre_speedup:.2f}x "
-          f"(floor {MIN_PRESOLVE_SPEEDUP:.1f}x), "
-          f"{fresh['summary']['presolve_rows_removed']} rows / "
+    print(f"presolve: {fresh['summary']['presolve_rows_removed']} rows / "
           f"{fresh['summary']['presolve_cols_removed']} cols removed")
-    if pre_speedup < MIN_PRESOLVE_SPEEDUP:
-        failures.append(
-            f"presolve speedup {pre_speedup:.2f}x fell below the required "
-            f"{MIN_PRESOLVE_SPEEDUP:.1f}x")
     if pre_removed == 0:
         failures.append(
             "presolve removed no rows and no columns on the bench corpus")
