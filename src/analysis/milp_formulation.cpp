@@ -265,7 +265,10 @@ DelayMilp build_delay_milp(const rt::TaskSet& tasks, TaskIndex i, Time t,
     if (any_cl) ++reserved_rows;  // cancellation_budget
   }
   m.reserve_variables(reserved_vars);
-  m.reserve_constraints(reserved_rows);
+  // No column enters more than 10 rows (an E column: its cardinality,
+  // copy-in, budget, CPU and one-executor rows, and the DMA and sum rows of
+  // its own and both neighbouring intervals).
+  m.reserve_constraints(reserved_rows, 10 * reserved_vars);
 
   for (std::size_t k = 0; k < N; ++k) {
     out.delta_vars[k] = m.add_continuous(
@@ -299,64 +302,81 @@ DelayMilp build_delay_milp(const rt::TaskSet& tasks, TaskIndex i, Time t,
   const VarId copyin_last =
       m.add_continuous(0.0, td(tasks.max_copy_in()), "copyin_last");
 
-  // --- Helper expressions ------------------------------------------------------
-  const auto cpu_work = [&](std::size_t k) {
-    LinExpr cpu;
+  // --- Row assembly ------------------------------------------------------------
+  // Each row is gathered in one reused scratch as the terms of `lhs - rhs`
+  // (right-hand terms negated) plus the right-hand constant, and installed
+  // with one add_constraint call.  The stored row is the one the LinExpr
+  // form `add_constraint(lhs, rel, rhs)` stores for the same sides.
+  std::vector<lp::Term> row;
+  std::string name;
+  const auto put = [&](VarId v, double coef) {
+    row.emplace_back(v.index, coef);
+  };
+  const auto install = [&](Relation rel, double rhs) {
+    m.add_constraint(row, rel, rhs, name);
+    row.clear();
+  };
+  const auto label = [&](const char* prefix, std::size_t k) {
+    name.assign(prefix);
+    name += std::to_string(k);
+  };
+
+  // CPU work in I_k: appends its terms times `sign`, returns its constant.
+  const auto cpu_work = [&](std::size_t k, double sign) {
     if (k == N - 1) {
       // tau_i executes in the last interval; in case (b) the CPU also
       // performs its copy-in sequentially (Constraint 15).
-      const Time own = fcase == FormulationCase::kLsCaseB
-                           ? tasks[i].copy_in + tasks[i].exec
-                           : tasks[i].exec;
-      cpu += td(own);
-      return cpu;
+      return td(fcase == FormulationCase::kLsCaseB
+                    ? tasks[i].copy_in + tasks[i].exec
+                    : tasks[i].exec);
     }
     for (TaskIndex j = 0; j < n; ++j) {
       if (valid(out.exec_vars[j][k])) {
-        cpu += td(tasks[j].exec) * LinExpr(out.exec_vars[j][k]);
+        put(out.exec_vars[j][k], sign * td(tasks[j].exec));
       }
       if (valid(out.urgent_vars[j][k])) {
-        cpu += td(tasks[j].copy_in + tasks[j].exec) *
-               LinExpr(out.urgent_vars[j][k]);
+        put(out.urgent_vars[j][k],
+            sign * td(tasks[j].copy_in + tasks[j].exec));
       }
     }
-    return cpu;
+    return 0.0;
   };
 
-  const auto dma_work = [&](std::size_t k) {
-    LinExpr dma;
+  // DMA work in I_k, likewise.
+  const auto dma_work = [&](std::size_t k, double sign) {
+    double constant = 0.0;
     // Copy-out of whatever executed in I_{k-1} (Constraint 2 substituted).
     if (k == 0) {
-      dma += LinExpr(copyout0);
+      put(copyout0, sign);
     } else {
       for (TaskIndex j = 0; j < n; ++j) {
         if (valid(out.exec_vars[j][k - 1])) {
-          dma += td(tasks[j].copy_out) * LinExpr(out.exec_vars[j][k - 1]);
+          put(out.exec_vars[j][k - 1], sign * td(tasks[j].copy_out));
         }
         if (valid(out.urgent_vars[j][k - 1])) {
-          dma += td(tasks[j].copy_out) * LinExpr(out.urgent_vars[j][k - 1]);
+          put(out.urgent_vars[j][k - 1], sign * td(tasks[j].copy_out));
         }
       }
     }
     // Copy-in for whatever executes in I_{k+1} (Constraint 1 substituted),
     // plus cancelled copy-ins (Constraint 10's CL term).
     if (k == N - 1) {
-      dma += LinExpr(copyin_last);
+      put(copyin_last, sign);
     } else if (k == N - 2 && fcase != FormulationCase::kLsCaseB) {
-      dma += td(tasks[i].copy_in);  // tau_i's own copy-in (Constraint 12)
+      constant = td(tasks[i].copy_in);  // tau_i's own copy-in (Constraint 12)
     } else {
       for (TaskIndex j = 0; j < n; ++j) {
         if (k + 1 < N && valid(out.exec_vars[j][k + 1])) {
-          dma += td(tasks[j].copy_in) * LinExpr(out.exec_vars[j][k + 1]);
+          put(out.exec_vars[j][k + 1], sign * td(tasks[j].copy_in));
         }
       }
     }
     for (TaskIndex j = 0; j < n; ++j) {
       if (valid(out.cancel_vars[j][k])) {
-        dma += td(tasks[j].copy_in) * LinExpr(out.cancel_vars[j][k]);
+        put(out.cancel_vars[j][k], sign * td(tasks[j].copy_in));
       }
     }
-    return dma;
+    return constant;
   };
 
   // --- Constraints ----------------------------------------------------------
@@ -368,49 +388,34 @@ DelayMilp build_delay_milp(const rt::TaskSet& tasks, TaskIndex i, Time t,
   // contain an execution (<= 1).  The window_intervals_* clamp guarantees
   // the equality system is structurally feasible (DESIGN.md §5.5).
   for (std::size_t k = 0; k + 1 < N; ++k) {
-    LinExpr execs;
-    bool any = false;
     for (TaskIndex j = 0; j < n; ++j) {
-      if (valid(out.exec_vars[j][k])) {
-        execs += LinExpr(out.exec_vars[j][k]);
-        any = true;
-      }
-      if (valid(out.urgent_vars[j][k])) {
-        execs += LinExpr(out.urgent_vars[j][k]);
-        any = true;
-      }
+      if (valid(out.exec_vars[j][k])) put(out.exec_vars[j][k], 1.0);
+      if (valid(out.urgent_vars[j][k])) put(out.urgent_vars[j][k], 1.0);
     }
+    const bool any = !row.empty();
     const Relation rel =
         (k == 0 || fcase == FormulationCase::kLsCaseB) ? Relation::kLe
                                                        : Relation::kEq;
     MCS_ASSERT(any || rel == Relation::kLe,
                "equality interval without admissible executions");
     if (any) {
-      m.add_constraint(execs, rel, 1.0, "one_exec_" + std::to_string(k));
+      label("one_exec_", k);
+      install(rel, 1.0);
     }
   }
 
   // Constraint 6: exactly one copy-in operation (completed or cancelled)
   // per interval I_0 .. I_{N-3} — R2 always starts one while tau_i waits.
   for (std::size_t k = 0; k + 2 < N; ++k) {
-    LinExpr copyins;
-    bool any = false;
     for (TaskIndex j = 0; j < n; ++j) {
-      if (valid(out.exec_vars[j][k + 1])) {
-        copyins += LinExpr(out.exec_vars[j][k + 1]);
-        any = true;
-      }
-      if (valid(out.cancel_vars[j][k])) {
-        copyins += LinExpr(out.cancel_vars[j][k]);
-        any = true;
-      }
+      if (valid(out.exec_vars[j][k + 1])) put(out.exec_vars[j][k + 1], 1.0);
+      if (valid(out.cancel_vars[j][k])) put(out.cancel_vars[j][k], 1.0);
     }
-    if (any) {
-      const Relation rel = fcase == FormulationCase::kLsCaseB
-                               ? Relation::kLe
-                               : Relation::kEq;
-      m.add_constraint(copyins, rel, 1.0,
-                       "one_copyin_" + std::to_string(k));
+    if (!row.empty()) {
+      label("one_copyin_", k);
+      install(fcase == FormulationCase::kLsCaseB ? Relation::kLe
+                                                 : Relation::kEq,
+              1.0);
     }
   }
 
@@ -418,44 +423,36 @@ DelayMilp build_delay_milp(const rt::TaskSet& tasks, TaskIndex i, Time t,
   // lp tasks.
   for (TaskIndex j = 0; j < n; ++j) {
     if (j == i) continue;
-    LinExpr total;
-    bool any = false;
     for (std::size_t k = 0; k + 1 < N; ++k) {
-      if (valid(out.exec_vars[j][k])) {
-        total += LinExpr(out.exec_vars[j][k]);
-        any = true;
-      }
-      if (valid(out.urgent_vars[j][k])) {
-        total += LinExpr(out.urgent_vars[j][k]);
-        any = true;
-      }
+      if (valid(out.exec_vars[j][k])) put(out.exec_vars[j][k], 1.0);
+      if (valid(out.urgent_vars[j][k])) put(out.urgent_vars[j][k], 1.0);
     }
-    if (!any) continue;
+    if (row.empty()) continue;
     const double budget =
         is_lp(j) ? 1.0 : static_cast<double>(budgets[j]);
-    m.add_constraint(total, Relation::kLe, budget,
-                     "budget_" + tasks[j].name);
+    name.assign("budget_");
+    name += tasks[j].name;
+    install(Relation::kLe, budget);
     out.budget_constraints[j] = m.num_constraints() - 1;
   }
 
   // Constraint 8: an urgent execution in I_{k+1} requires a cancelled
   // copy-in in I_k (tau_i is pending, so "no copy-in" cannot explain it).
   for (std::size_t k = 0; k + 2 < N; ++k) {
-    LinExpr cancels;
-    LinExpr urgents;
-    bool any = false;
     for (TaskIndex j = 0; j < n; ++j) {
-      if (valid(out.cancel_vars[j][k])) {
-        cancels += LinExpr(out.cancel_vars[j][k]);
-      }
+      if (valid(out.cancel_vars[j][k])) put(out.cancel_vars[j][k], 1.0);
+    }
+    const std::size_t cancels = row.size();
+    for (TaskIndex j = 0; j < n; ++j) {
       if (valid(out.urgent_vars[j][k + 1])) {
-        urgents += LinExpr(out.urgent_vars[j][k + 1]);
-        any = true;
+        put(out.urgent_vars[j][k + 1], -1.0);
       }
     }
-    if (any) {
-      m.add_constraint(cancels, Relation::kGe, urgents,
-                       "cancel_before_urgent_" + std::to_string(k));
+    if (row.size() > cancels) {
+      label("cancel_before_urgent_", k);
+      install(Relation::kGe, 0.0);
+    } else {
+      row.clear();
     }
   }
 
@@ -463,23 +460,15 @@ DelayMilp build_delay_milp(const rt::TaskSet& tasks, TaskIndex i, Time t,
   // is triggered by the release of one latency-sensitive job (R3), so the
   // total number of CL events in the window cannot exceed the number of LS
   // job releases, bounded by sum over LS tasks of (eta_s(t) + 1).
-  {
-    LinExpr cancels;
-    bool any_cl = false;
-    for (TaskIndex j = 0; j < n; ++j) {
-      for (std::size_t k = 0; k + 1 < N; ++k) {
-        if (valid(out.cancel_vars[j][k])) {
-          cancels += LinExpr(out.cancel_vars[j][k]);
-          any_cl = true;
-        }
-      }
+  for (TaskIndex j = 0; j < n; ++j) {
+    for (std::size_t k = 0; k + 1 < N; ++k) {
+      if (valid(out.cancel_vars[j][k])) put(out.cancel_vars[j][k], 1.0);
     }
-    if (any_cl) {
-      m.add_constraint(cancels, Relation::kLe,
-                       ls_release_budget(tasks, t, ignore_ls),
-                       "cancellation_budget");
-      out.cancellation_budget_constraint = m.num_constraints() - 1;
-    }
+  }
+  if (!row.empty()) {
+    name.assign("cancellation_budget");
+    install(Relation::kLe, ls_release_budget(tasks, t, ignore_ls));
+    out.cancellation_budget_constraint = m.num_constraints() - 1;
   }
 
   // Constraints 9-13 (substituted): interval length = max(CPU, DMA) via the
@@ -489,18 +478,25 @@ DelayMilp build_delay_milp(const rt::TaskSet& tasks, TaskIndex i, Time t,
   // without it a fractional alpha buys up to big_m/2 of free slack per
   // interval, which is what used to exhaust the branch & bound budget.
   for (std::size_t k = 0; k < N; ++k) {
-    const LinExpr cpu = cpu_work(k);
-    const LinExpr dma = dma_work(k);
     const double m_k = std::max(cpu_ub[k], dma_ub[k]);
-    m.add_constraint(LinExpr(out.delta_vars[k]), Relation::kLe,
-                     cpu + m_k * LinExpr(alpha[k]),
-                     "delta_cpu_" + std::to_string(k));
-    m.add_constraint(
-        LinExpr(out.delta_vars[k]), Relation::kLe,
-        dma + m_k * (LinExpr(1.0) - LinExpr(alpha[k])),
-        "delta_dma_" + std::to_string(k));
-    m.add_constraint(LinExpr(out.delta_vars[k]), Relation::kLe, cpu + dma,
-                     "delta_sum_" + std::to_string(k));
+    // Delta_k <= cpu + m_k * alpha_k
+    put(out.delta_vars[k], 1.0);
+    const double cpu = cpu_work(k, -1.0);
+    put(alpha[k], -m_k);
+    label("delta_cpu_", k);
+    install(Relation::kLe, cpu);
+    // Delta_k <= dma + m_k * (1 - alpha_k)
+    put(out.delta_vars[k], 1.0);
+    const double dma = dma_work(k, -1.0);
+    put(alpha[k], m_k);
+    label("delta_dma_", k);
+    install(Relation::kLe, dma + m_k);
+    // Delta_k <= cpu + dma
+    put(out.delta_vars[k], 1.0);
+    cpu_work(k, -1.0);
+    dma_work(k, -1.0);
+    label("delta_sum_", k);
+    install(Relation::kLe, cpu + dma);
     // One-executor cut: with at most one execution per interval,
     //   Delta_k <= dma_ub[k] + sum_j (E/LE)_j^k * max(0, work_j - dma_ub[k])
     // is valid (executing j gives max(work_j, dma_k) <= max(work_j,
@@ -508,32 +504,28 @@ DelayMilp build_delay_milp(const rt::TaskSet& tasks, TaskIndex i, Time t,
     // of claiming cpu + dma per interval and is the single most effective
     // relaxation tightener for these instances.
     if (k + 1 < N) {
-      LinExpr rhs(dma_ub[k]);
+      put(out.delta_vars[k], 1.0);
       for (TaskIndex j = 0; j < n; ++j) {
         if (valid(out.exec_vars[j][k])) {
           const double extra =
               std::max(0.0, td(tasks[j].exec) - dma_ub[k]);
-          if (extra > 0.0) {
-            rhs += extra * LinExpr(out.exec_vars[j][k]);
-          }
+          if (extra > 0.0) put(out.exec_vars[j][k], -extra);
         }
         if (valid(out.urgent_vars[j][k])) {
           const double extra = std::max(
               0.0, td(tasks[j].copy_in + tasks[j].exec) - dma_ub[k]);
-          if (extra > 0.0) {
-            rhs += extra * LinExpr(out.urgent_vars[j][k]);
-          }
+          if (extra > 0.0) put(out.urgent_vars[j][k], -extra);
         }
       }
-      m.add_constraint(LinExpr(out.delta_vars[k]), Relation::kLe, rhs,
-                       "delta_one_exec_" + std::to_string(k));
+      label("delta_one_exec_", k);
+      install(Relation::kLe, dma_ub[k]);
     }
   }
 
   // Objective (Eq. 1 without the constant u_i, which the caller adds).
   LinExpr objective;
   for (std::size_t k = 0; k < N; ++k) {
-    objective += LinExpr(out.delta_vars[k]);
+    objective.add_term(out.delta_vars[k], 1.0);
   }
   m.set_objective(Sense::kMaximize, objective);
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -209,9 +212,10 @@ Terms sorted_terms(Terms terms) {
   return terms;
 }
 
-bool terms_equal(const lp::LinExpr& actual, const Terms& expected,
+/// Compares normalized `actual` terms with the re-derived `expected` ones.
+bool terms_equal(std::span<const lp::Term> actual, const Terms& expected,
                  std::string* detail) {
-  const Terms got = actual.normalized().terms();
+  const Terms got(actual.begin(), actual.end());
   const Terms want = sorted_terms(expected);
   if (got != want) {
     *detail = "coefficients differ from the re-derived row (" +
@@ -416,21 +420,23 @@ CheckReport lint_formulation(const FormulationView& view,
     } else if (m.objective().normalized().constant() != 0.0) {
       report.add("MCS-F109", Severity::kError, "objective",
                  "unexpected constant term");
-    } else if (!terms_equal(m.objective(), want, &detail)) {
+    } else if (!terms_equal(m.objective().normalized().terms(), want,
+                            &detail)) {
       report.add("MCS-F109", Severity::kError, "objective", detail);
     }
   }
 
   // --- Named-row lookup ------------------------------------------------------
-  std::unordered_map<std::string, std::size_t> rows;
+  std::unordered_map<std::string_view, std::size_t> rows;
   for (std::size_t r = 0; r < m.num_constraints(); ++r) {
-    const std::string& name = m.constraints()[r].name;
+    const std::string_view name = m.row(r).name;
     if (!name.empty()) rows.emplace(name, r);
   }
-  const auto named_row = [&](const std::string& name) -> const
-      lp::Constraint* {
+  const auto named_row =
+      [&](const std::string& name) -> std::optional<lp::RowView> {
     const auto it = rows.find(name);
-    return it == rows.end() ? nullptr : &m.constraints()[it->second];
+    if (it == rows.end()) return std::nullopt;
+    return m.row(it->second);
   };
 
   // --- Cardinality rows (Constraints 5 and 6) --------------------------------
@@ -445,15 +451,15 @@ CheckReport lint_formulation(const FormulationView& view,
       }
     }
     const std::string name = "one_exec_" + std::to_string(k);
-    const lp::Constraint* row = named_row(name);
+    const std::optional<lp::RowView> row = named_row(name);
     if (want.empty()) {
-      if (row != nullptr) {
+      if (row) {
         report.add("MCS-F101", Severity::kError, name,
                    "cardinality row without admissible placements");
       }
       continue;
     }
-    if (row == nullptr) {
+    if (!row) {
       report.add("MCS-F101", Severity::kError, name,
                  "placement-cardinality row missing");
       continue;
@@ -467,7 +473,7 @@ CheckReport lint_formulation(const FormulationView& view,
                  "must read `sum placements " +
                      std::string(rel == Relation::kLe ? "<=" : "=") +
                      " 1` for this interval");
-    } else if (!terms_equal(row->lhs, want, &detail)) {
+    } else if (!terms_equal(row->terms, want, &detail)) {
       report.add("MCS-F101", Severity::kError, name, detail);
     }
   }
@@ -482,15 +488,15 @@ CheckReport lint_formulation(const FormulationView& view,
       }
     }
     const std::string name = "one_copyin_" + std::to_string(k);
-    const lp::Constraint* row = named_row(name);
+    const std::optional<lp::RowView> row = named_row(name);
     if (want.empty()) {
-      if (row != nullptr) {
+      if (row) {
         report.add("MCS-F102", Severity::kError, name,
                    "cardinality row without admissible copy-ins");
       }
       continue;
     }
-    if (row == nullptr) {
+    if (!row) {
       report.add("MCS-F102", Severity::kError, name,
                  "copy-in cardinality row missing");
       continue;
@@ -503,7 +509,7 @@ CheckReport lint_formulation(const FormulationView& view,
                  "must read `sum copy-ins " +
                      std::string(rel == Relation::kLe ? "<=" : "=") +
                      " 1` for this interval");
-    } else if (!terms_equal(row->lhs, want, &detail)) {
+    } else if (!terms_equal(row->terms, want, &detail)) {
       report.add("MCS-F102", Severity::kError, name, detail);
     }
   }
@@ -536,7 +542,7 @@ CheckReport lint_formulation(const FormulationView& view,
                  "interference-budget row missing");
       continue;
     }
-    const lp::Constraint& row = m.constraints()[row_index];
+    const lp::RowView row = m.row(row_index);
     const double budget = tasks[j].priority > my_prio
                               ? 1.0
                               : static_cast<double>(expect.budgets[j]);
@@ -550,7 +556,7 @@ CheckReport lint_formulation(const FormulationView& view,
                      " differs from eta_j(t) + 1 = " +
                      std::to_string(budget) +
                      " re-derived from the arrival curve");
-    } else if (!terms_equal(row.lhs, want, &detail)) {
+    } else if (!terms_equal(row.terms, want, &detail)) {
       report.add("MCS-F104", Severity::kError, object, detail);
     }
   }
@@ -576,7 +582,7 @@ CheckReport lint_formulation(const FormulationView& view,
       report.add("MCS-F105", Severity::kError, "cancellation_budget",
                  "cancellation-budget row missing");
     } else {
-      const lp::Constraint& row = m.constraints()[row_index];
+      const lp::RowView row = m.row(row_index);
       std::string detail;
       if (row.relation != Relation::kLe) {
         report.add("MCS-F105", Severity::kError, "cancellation_budget",
@@ -587,7 +593,7 @@ CheckReport lint_formulation(const FormulationView& view,
                        " differs from the LS release budget " +
                        std::to_string(expect.ls_release_budget) +
                        " re-derived from the arrival curves");
-      } else if (!terms_equal(row.lhs, want, &detail)) {
+      } else if (!terms_equal(row.terms, want, &detail)) {
         report.add("MCS-F105", Severity::kError, "cancellation_budget",
                    detail);
       }
@@ -597,8 +603,8 @@ CheckReport lint_formulation(const FormulationView& view,
   // --- CPU-side interval-length rows (Constraint 13, tick coefficients) ------
   for (std::size_t k = 0; k < N; ++k) {
     const std::string name = "delta_cpu_" + std::to_string(k);
-    const lp::Constraint* row = named_row(name);
-    if (row == nullptr) {
+    const std::optional<lp::RowView> row = named_row(name);
+    if (!row) {
       report.add("MCS-F110", Severity::kError, name,
                  "CPU-side interval-length row missing");
       continue;
@@ -634,7 +640,7 @@ CheckReport lint_formulation(const FormulationView& view,
                  "right-hand side " + std::to_string(row->rhs) +
                      " differs from the tick re-derivation " +
                      std::to_string(rhs));
-    } else if (!terms_equal(row->lhs, want, &detail)) {
+    } else if (!terms_equal(row->terms, want, &detail)) {
       report.add("MCS-F106", Severity::kError, name, detail);
     }
   }
@@ -652,15 +658,15 @@ CheckReport lint_formulation(const FormulationView& view,
     }
   }
   for (std::size_t r = 0; r < m.num_constraints(); ++r) {
-    const lp::Constraint& row = m.constraints()[r];
+    const lp::RowView row = m.row(r);
     bool bad = !integral(row.rhs);
-    for (const auto& [var, coef] : row.lhs.terms()) {
+    for (const auto& [var, coef] : row.terms) {
       bad = bad || !integral(coef);
     }
     if (bad) {
-      const std::string& name = row.name;
       report.add("MCS-F106", Severity::kError,
-                 name.empty() ? "row " + std::to_string(r) : name,
+                 row.name.empty() ? "row " + std::to_string(r)
+                                  : std::string(row.name),
                  "non-integral coefficient or right-hand side: formulation "
                  "data must stay in whole ticks");
     }

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <unordered_set>
 #include <vector>
@@ -66,12 +67,12 @@ void write_number(std::ostream& out, double value) {
   out.write(buf, ptr - buf);
 }
 
-void write_expr(std::ostream& out, const LinExpr& expr,
-                const std::vector<std::string>& names,
-                bool include_constant = false) {
-  const LinExpr normal = expr.normalized();
+/// Writes normalized `terms` plus a nonzero `constant`, or "0" for neither.
+void write_terms(std::ostream& out, std::span<const Term> terms,
+                 const std::vector<std::string>& names,
+                 double constant = 0.0) {
   bool first = true;
-  for (const auto& [var, coef] : normal.terms()) {
+  for (const auto& [var, coef] : terms) {
     if (coef >= 0.0) {
       out << (first ? "" : " + ");
     } else {
@@ -81,13 +82,13 @@ void write_expr(std::ostream& out, const LinExpr& expr,
     out << ' ' << names[var];
     first = false;
   }
-  if (include_constant && normal.constant() != 0.0) {
-    if (normal.constant() >= 0.0) {
+  if (constant != 0.0) {
+    if (constant >= 0.0) {
       out << (first ? "" : " + ");
     } else {
       out << (first ? "- " : " - ");
     }
-    write_number(out, std::abs(normal.constant()));
+    write_number(out, std::abs(constant));
     first = false;
   }
   if (first) {
@@ -106,8 +107,8 @@ void write_lp_format(const Model& model, std::ostream& out) {
   const std::vector<std::string> names = unique_names(raw_vars, 'x');
   std::vector<std::string> raw_rows;
   raw_rows.reserve(model.num_constraints());
-  for (const Constraint& c : model.constraints()) {
-    raw_rows.push_back(c.name);
+  for (std::size_t r = 0; r < model.num_constraints(); ++r) {
+    raw_rows.emplace_back(model.row(r).name);
   }
   const std::vector<std::string> labels = unique_names(raw_rows, 'c');
 
@@ -116,12 +117,13 @@ void write_lp_format(const Model& model, std::ostream& out) {
       << "\n obj: ";
   // A constant objective term is legal in the CPLEX LP format and must be
   // part of the expression — a comment would silently drop it on reparse.
-  write_expr(out, model.objective(), names, /*include_constant=*/true);
+  const LinExpr objective = model.objective().normalized();
+  write_terms(out, objective.terms(), names, objective.constant());
   out << "\nSubject To\n";
   for (std::size_t r = 0; r < model.num_constraints(); ++r) {
-    const Constraint& c = model.constraints()[r];
+    const RowView c = model.row(r);
     out << ' ' << labels[r] << ": ";
-    write_expr(out, c.lhs, names);
+    write_terms(out, c.terms, names);
     switch (c.relation) {
       case Relation::kLe:
         out << " <= ";

@@ -47,7 +47,7 @@ SimplexSolver::Impl::Impl(const Model& model, const SimplexOptions& options)
   base_rhs_.assign(rows_, 0.0);
   slack_coef_.assign(rows_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
-    const Constraint& c = model_.constraints()[r];
+    const RowView c = model_.row(r);
     base_rhs_[r] = c.rhs;
     switch (c.relation) {
       case Relation::kLe:
@@ -142,8 +142,9 @@ bool SimplexSolver::Impl::certify(const std::vector<double>& values) const {
       return false;
     }
   }
-  for (const Constraint& con : model_.constraints()) {
-    const double lhs = model_.evaluate(con.lhs, values);
+  for (std::size_t r = 0; r < model_.num_constraints(); ++r) {
+    const RowView con = model_.row(r);
+    const double lhs = model_.row_activity(r, values);
     const double tol = ftol * (1.0 + std::abs(con.rhs) + std::abs(lhs));
     switch (con.relation) {
       case Relation::kLe:

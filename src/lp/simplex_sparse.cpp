@@ -166,7 +166,7 @@ struct SparseKernel final : SimplexSolver::Impl {
 void SparseKernel::build_static() {
   SparseMatrix::Builder builder(rows_, cols_);
   for (std::size_t r = 0; r < rows_; ++r) {
-    for (const auto& [var, coef] : model_.constraints()[r].lhs.terms()) {
+    for (const auto& [var, coef] : model_.row(r).terms) {
       for (const std::size_t col : var_cols_[var]) {
         builder.add(r, col, coef * col_map_[col].sign);
       }

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "analysis/lint.hpp"
 #include "analysis/milp_formulation.hpp"
@@ -81,7 +82,7 @@ std::string render_all(const CheckReport& report) {
 /// Index of the first constraint whose name starts with `prefix`.
 std::size_t row_named(const Model& model, const std::string& prefix) {
   for (std::size_t r = 0; r < model.num_constraints(); ++r) {
-    const std::string& name = model.constraints()[r].name;
+    const std::string_view name = model.row(r).name;
     if (name.rfind(prefix, 0) == 0) {
       return r;
     }
@@ -248,7 +249,7 @@ TEST(CheckLintNegative, BudgetRhsCorruptionFires104) {
   Fixture f;
   const std::size_t row = row_named(f.milp.model, "budget_");
   ASSERT_NE(row, static_cast<std::size_t>(-1));
-  f.milp.model.set_rhs(row, f.milp.model.constraints()[row].rhs + 1.0);
+  f.milp.model.set_rhs(row, f.milp.model.row(row).rhs + 1.0);
   const CheckReport report = f.lint();
   EXPECT_TRUE(report.has_rule("MCS-F104")) << render_all(report);
 }
@@ -257,7 +258,7 @@ TEST(CheckLintNegative, CancellationBudgetRhsCorruptionFires105) {
   Fixture f;
   ASSERT_NE(f.milp.cancellation_budget_constraint, DelayMilp::kNoConstraint);
   const std::size_t row = f.milp.cancellation_budget_constraint;
-  f.milp.model.set_rhs(row, f.milp.model.constraints()[row].rhs + 1.0);
+  f.milp.model.set_rhs(row, f.milp.model.row(row).rhs + 1.0);
   const CheckReport report = f.lint();
   EXPECT_TRUE(report.has_rule("MCS-F105")) << render_all(report);
 }
@@ -344,7 +345,7 @@ TEST(CheckLintNegative, PatchedModelDriftFires20x) {
   }
   {
     Model rhs = drifted;
-    rhs.set_rhs(0, drifted.constraints()[0].rhs + 1.0);
+    rhs.set_rhs(0, drifted.row(0).rhs + 1.0);
     const CheckReport report = diff_models(f.milp.model, rhs);
     EXPECT_TRUE(report.has_rule("MCS-F204")) << render_all(report);
   }

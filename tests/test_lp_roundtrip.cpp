@@ -323,9 +323,9 @@ TEST(LpReader, ParsesHandWrittenFile) {
   EXPECT_EQ(model.objective_sense(), Sense::kMaximize);
   EXPECT_EQ(model.variables()[0].upper, 6.0);
   EXPECT_EQ(model.variables()[1].lower, -kInfinity);
-  EXPECT_EQ(model.constraints()[0].relation, Relation::kLe);
-  EXPECT_EQ(model.constraints()[0].rhs, 10.0);
-  EXPECT_EQ(model.constraints()[1].rhs, -5.0);
+  EXPECT_EQ(model.row(0).relation, Relation::kLe);
+  EXPECT_EQ(model.row(0).rhs, 10.0);
+  EXPECT_EQ(model.row(1).rhs, -5.0);
 }
 
 }  // namespace
