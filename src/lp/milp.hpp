@@ -104,7 +104,11 @@ using StopRule = std::function<bool(const SearchBounds&)>;
 /// resume.  A run without a stop rule is exactly solve_milp; a search that
 /// is paused and then finished returns bit for bit what an uninterrupted
 /// run returns (same result fields, same nodes, same LP iterations), since
-/// a pause only returns from the loop top before the next node is popped.
+/// a pause only returns from a loop top: the one before presolve (no
+/// incumbent, an infinite dual bound; a search paused there has done no
+/// work and runs presolve first when resumed) or the one before the next
+/// node is popped.  A resumed search reads the rule again at the loop top
+/// it paused at.
 ///
 /// Along one search the incumbent objective only improves and the dual
 /// bound only tightens (up to LP round-off), so the final `best_bound` lies

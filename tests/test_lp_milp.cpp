@@ -382,25 +382,40 @@ void expect_same_search(const MilpResult& a, const MilpResult& b,
 }
 
 /// Pauses `model`'s search at every loop top k in turn (and, once, at all
-/// of them), finishes it, and compares with the uninterrupted search.
+/// of them), finishes it, and compares with the uninterrupted search.  Loop
+/// top 0 is the one before presolve.
 void expect_resumable(const Model& model, const MilpOptions& opt,
                       const std::string& label) {
   std::size_t tops = 0;
+  std::vector<SearchBounds> seen_bounds;
   MilpSearch whole(model, opt);
-  ASSERT_TRUE(whole.run([&tops](const SearchBounds&) {
+  ASSERT_TRUE(whole.run([&](const SearchBounds& b) {
     ++tops;
+    seen_bounds.push_back(b);
     return false;
   }));
   const MilpResult& want = whole.result();
   expect_same_search(mcs::lp::solve_milp(model, opt), want, label + " plain");
 
+  // Before presolve there is no incumbent and no dual bound, even when a
+  // start value will seed one.
+  ASSERT_FALSE(seen_bounds.empty()) << label;
+  const double inf =
+      model.objective_sense() == Sense::kMaximize ? kInfinity : -kInfinity;
+  EXPECT_EQ(seen_bounds[0].incumbent, -inf) << label;
+  EXPECT_EQ(seen_bounds[0].dual_bound, inf) << label;
+
   for (std::size_t k = 0; k < tops; ++k) {
     std::size_t seen = 0;
-    MilpSearch search(model, opt);
+    // The search is resumed after its model is gone: a paused search, at
+    // any loop top, keeps its own copy.
+    auto owned = std::make_unique<Model>(model);
+    MilpSearch search(*owned, opt);
     EXPECT_FALSE(search.run([&seen, k](const SearchBounds&) {
       return seen++ == k;
     })) << label << " k=" << k;
     EXPECT_FALSE(search.finished());
+    owned.reset();
     ASSERT_TRUE(search.run());
     expect_same_search(search.result(), want,
                        label + " paused at " + std::to_string(k));
