@@ -4,6 +4,7 @@
 // `mcs_bench <name> [options]`.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -21,6 +22,10 @@ inline void write_bench_telemetry(const std::string& name) {
   support::telemetry::write_json_file(path);
   std::cout << "wrote " << name << ".telemetry.json\n";
 }
+
+/// `operator new` calls made by this process so far (alloc_count.cpp
+/// replaces the global allocation functions in mcs_bench).
+std::uint64_t allocation_count();
 
 /// Custom (non-sweep-registry) bench tools.
 int tool_fig1_main();

@@ -12,7 +12,9 @@
 // counts to equal the committed baseline's (and the decision pass's to
 // equal the exact pass's), the work counts to stay within a growth bound
 // of the baseline's, and the decision pass to explore at most a fixed
-// share of the exact pass's B&B nodes.  Wall time is recorded, not gated.
+// share of the exact pass's B&B nodes.  Each pass's `operator new` calls
+// are counted (deterministic for a fixed build); perf_check.py bounds
+// their growth over the baseline.  Wall time is recorded, not gated.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -82,6 +84,7 @@ int tool_analysis_main() {
   support::telemetry::set_enabled(true);
   const std::uint64_t pivots_before = simplex_pivots();
   const std::uint64_t explored_before = nodes_explored();
+  const std::uint64_t allocations_before = allocation_count();
 
   std::size_t nps_schedulable = 0;
   std::size_t wp_failing = 0;
@@ -118,12 +121,15 @@ int tool_analysis_main() {
                              .count();
   const std::uint64_t pivots = simplex_pivots() - pivots_before;
   const std::uint64_t exact_explored = nodes_explored() - explored_before;
+  const std::uint64_t exact_allocations =
+      allocation_count() - allocations_before;
 
   // The same verdicts in decision mode.
   std::size_t decided_wp_failing = 0;
   std::size_t decided_rescued = 0;
   const std::uint64_t decision_pivots_before = simplex_pivots();
   const std::uint64_t decision_nodes_before = nodes_explored();
+  const std::uint64_t decision_allocations_before = allocation_count();
   for (const rt::TaskSet& tasks : sets) {
     analysis::AnalysisEngine engine;
     if (engine.decide(tasks, analysis::Approach::kWasilyPellizzoni, options)
@@ -140,6 +146,8 @@ int tool_analysis_main() {
       nodes_explored() - decision_nodes_before;
   const std::uint64_t decision_pivots =
       simplex_pivots() - decision_pivots_before;
+  const std::uint64_t decision_allocations =
+      allocation_count() - decision_allocations_before;
 
   std::cout << "Analysis pipeline bench: " << kSets << " task sets (n="
             << kTasks << ", U=" << kUtilization << ", gamma=" << kGamma
@@ -150,10 +158,11 @@ int tool_analysis_main() {
             << pivots << " simplex pivots, " << static_cast<long>(wall_ms)
             << " ms\n  decision mode: " << decision_nodes << " of "
             << exact_explored << " B&B nodes explored, " << decision_pivots
-            << " simplex pivots\n";
+            << " simplex pivots\n  operator new calls: " << exact_allocations
+            << " exact, " << decision_allocations << " decision\n";
 
   std::ofstream json("BENCH_analysis.json");
-  json << "{\n  \"schema\": \"mcs-bench-analysis-v3\",\n"
+  json << "{\n  \"schema\": \"mcs-bench-analysis-v4\",\n"
        << "  \"sweep_point\": {\"sets\": " << kSets << ", \"num_tasks\": "
        << kTasks << ", \"utilization\": " << kUtilization
        << ", \"gamma\": " << kGamma << "},\n"
@@ -168,6 +177,8 @@ int tool_analysis_main() {
        << ", \"bb_nodes\": " << decision_nodes
        << ", \"simplex_pivots\": " << decision_pivots
        << ", \"exact_nodes_explored\": " << exact_explored << "},\n"
+       << "  \"allocations\": {\"exact\": " << exact_allocations
+       << ", \"decision\": " << decision_allocations << "},\n"
        << "  \"wall_ms\": " << static_cast<long>(wall_ms) << "\n}\n";
   json.close();
   std::cout << "wrote BENCH_analysis.json\n";

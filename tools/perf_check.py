@@ -32,7 +32,7 @@ mcs-bench-solver-v1 (written by `mcs_bench ablation_solver`)
   read anywhere from 0.7x to 1.3x on unchanged code, so presolve's value is
   gated by its removal counts and its strategies' node and pivot counts.
 
-mcs-bench-analysis-v3 (written by `mcs_bench analysis`)
+mcs-bench-analysis-v4 (written by `mcs_bench analysis`)
   Compared against the committed BENCH_analysis.json baseline; fails when
     * any verdict count (NPS-schedulable, WP-failing, rescued by greedy,
       greedy rounds) differs from the baseline's, or
@@ -42,9 +42,13 @@ mcs-bench-analysis-v3 (written by `mcs_bench analysis`)
       reached a different WP-failing or rescued-by-greedy count than the
       exact pass of the same run, or explored more than
       MAX_DECISION_NODE_SHARE of the exact pass's B&B nodes, or its node or
-      pivot count grew by more than the allowed factor over the baseline's.
+      pivot count grew by more than the allowed factor over the baseline's,
+      or
+    * either pass's `operator new` call count grew by more than
+      MAX_ALLOCATION_GROWTH over the baseline's.
   Every MILP there is solved to proven optimality, so all of these counts
-  are deterministic; the engine's cross-round reuse shows up in the work
+  are deterministic (the allocation counts for a fixed compiler and
+  standard library); the engine's cross-round reuse shows up in the work
   counts.  The wall time is reported, not gated, for the same reason as
   above.
 
@@ -77,6 +81,13 @@ MIN_SPARSE_KERNEL_SPEEDUP = 1.5
 # round's outcome is fixed.
 MAX_DECISION_NODE_SHARE = 0.8
 
+# Either analysis-bench pass may make at most this factor times the
+# baseline's `operator new` calls.  The counts are exact for one build, so
+# the margin only absorbs incidental changes; a return of per-row or
+# per-term heap objects to the formulation path (the delay-MILP builder,
+# presolve, model copies) multiplies them.
+MAX_ALLOCATION_GROWTH = 1.10
+
 # Relative tolerance for the prove-pair bound identity: both kernels prove
 # optimality, so their mean bounds may differ only by accumulated
 # round-off, far below this.
@@ -84,7 +95,7 @@ KERNEL_BOUND_RTOL = 1e-9
 
 BASELINES = {
     "mcs-bench-solver-v1": "BENCH_solver.json",
-    "mcs-bench-analysis-v3": "BENCH_analysis.json",
+    "mcs-bench-analysis-v4": "BENCH_analysis.json",
 }
 
 
@@ -221,6 +232,16 @@ def check_analysis(fresh, baseline):
                 f"decision {key} grew more than {MAX_PIVOT_GROWTH:.1f}x over "
                 f"the committed baseline ({got} > {MAX_PIVOT_GROWTH:.1f} * "
                 f"{base})")
+    for key, base in baseline["allocations"].items():
+        got = fresh["allocations"][key]
+        print(f"{key} pass operator new calls: fresh {got} vs baseline "
+              f"{base} (x{got / base:.2f}, ceiling "
+              f"x{MAX_ALLOCATION_GROWTH:.2f})")
+        if got > MAX_ALLOCATION_GROWTH * base:
+            failures.append(
+                f"{key} pass made {got} operator new calls, more than "
+                f"{MAX_ALLOCATION_GROWTH:.2f}x the committed baseline's "
+                f"{base}")
     return failures
 
 
